@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .curve import CurveRecord, RecordStatus, verify_record
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 from .families import (
     Verdict,
     analyze_feasibility,
@@ -80,6 +80,8 @@ def serialize_record(record: CurveRecord, provenance: dict | None = None) -> str
 
 def parse_record_line(line: str) -> RecordEnvelope:
     data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"record must be a JSON object, got {type(data).__name__}")
     status, reason = _parse_status(data.get("status", "PENDING"))
     for required in ("k", "q", "n"):
         if required not in data:
@@ -479,7 +481,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, ContractError) as exc:
+        # invalid input found below the argument parser: an unknown family,
+        # an out-of-domain value, a violated precondition
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

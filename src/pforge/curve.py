@@ -223,7 +223,11 @@ def verify_record(
     curve = (q, record.a % q, record.b % q)
     if not is_nonsingular(curve):
         return record.rejected("singular curve: 4A^3 + 27B^2 = 0 mod q")
-    check = verify_group_order(curve, n, trials=trials, rng=rng)
+    try:
+        check = verify_group_order(curve, n, trials=trials, rng=rng)
+    except ContractError as exc:
+        # f > 0 was checked above, so the failed precondition is 16q < n**2
+        return record.rejected(f"group order check: {exc}")
     if check is not OrderCheck.VERIFIED:
         return record.rejected(f"group order check: {check.value}")
     return record.with_status(RecordStatus.CURVE_VERIFIED)

@@ -239,7 +239,11 @@ def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> NaturalFactorization
         raise ValueError(f"factorize needs m >= 1, got {m}")
     factors: list[tuple[int, int]] = []
     rest = m
-    for p in _primes_below(max(bound + 1, 3)):
+    # Trial division stops once p * p > rest, so primes above isqrt(m) are
+    # never tried and the sieve need not reach them.  Rounding its size up
+    # to a power of two keeps _primes_below's cache to a few sizes.
+    size = min(max(bound, 2), math.isqrt(m)) + 1
+    for p in _primes_below(min(1 << (size - 1).bit_length(), max(bound + 1, 3))):
         if p * p > rest:
             break
         if rest % p == 0:

@@ -174,16 +174,18 @@ def search_mnt(
     reduction = reduce_quadratic(a, b, c, d_value)
     problem = reduction.problem
     try:
+        reps = base_solutions(problem.dprime, problem.t_value)
         elements = enumerate_solutions(
             problem.dprime,
             problem.t_value,
             u_bit_limit=config.max_u_bits,
             max_steps_per_class=config.max_solutions_per_d,
+            reps=reps,
         )
     except CapacityError as exc:
         _progress(f"D={d_value}, skipped: {exc}")
         return
-    classes = len(base_solutions(problem.dprime, problem.t_value))
+    classes = len(reps)
     emitted = 0
     seen_x: set[int] = set()
     candidates = 0

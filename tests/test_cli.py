@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import pforge
 
 from pforge.cli import (
     EXIT_EMPTY,
@@ -290,6 +294,38 @@ class TestSeedOverride:
         assert _effective_seed(5) == 99
         monkeypatch.delenv("PFORGE_SEED")
         assert _effective_seed(5) == 5
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "argv, record_line, code",
+        [
+            (["verify", "--family", "nosuch", "--q", "5", "--n", "3", "--k", "6"], None, EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", "0"], None, EXIT_USAGE),
+            (["verify", "--in"], "[1]", EXIT_USAGE),
+            (["verify", "--q", "3", "--n", "5", "--k", "4", "--a", "1", "--b", "1"], None,
+             EXIT_VERIFY_FAILED),
+        ],
+        ids=["unknown-family", "k-zero", "non-object-record", "order-check-precondition"],
+    )
+    def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):
+        if record_line is not None:
+            path = tmp_path / "records.jsonl"
+            path.write_text(record_line + "\n")
+            argv = argv + [str(path)]
+        src = os.path.dirname(os.path.dirname(pforge.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pforge.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == EXIT_USAGE:
+            assert proc.stderr.startswith("error:")
+        else:
+            status = json.loads(proc.stdout)["status"]
+            assert status.startswith("REJECTED(group order check: ")
 
 
 class TestUsage:

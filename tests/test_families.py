@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from pforge import families
 from pforge.curve import RecordStatus
 from pforge.families import (
+    _catalog,
     FamilyClassification,
     Verdict,
     analyze_feasibility,
@@ -67,6 +69,23 @@ class TestCatalog:
     def test_degree_multiple_of_totient(self):
         for fam in builtin_catalog():
             assert fam.n.degree % euler_phi(fam.k) == 0, fam.name
+
+    def test_entries_pass_verify_family(self):
+        for entry in builtin_catalog():
+            assert verify_family(entry.t, entry.n, entry.q, entry.k, entry.name) == entry
+
+    def test_not_verified_at_run_time(self, monkeypatch):
+        expected = builtin_catalog()
+
+        def refuse(poly):
+            raise AssertionError("the catalog must not be re-verified at run time")
+
+        monkeypatch.setattr(families, "is_irreducible_over_q", refuse)
+        _catalog.cache_clear()
+        try:
+            assert builtin_catalog() == expected
+        finally:
+            _catalog.cache_clear()
 
     def test_unknown_family_raises(self):
         with pytest.raises(KeyError):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pforge.numtheory import (
+    NaturalFactorization,
     euler_phi,
     factorize,
     integer_nth_root,
@@ -172,6 +174,69 @@ class TestSqrtModPrime:
         for a in (2, 3, 12345):
             r = sqrt_mod_prime(a * a % p, p)
             assert r is not None and r * r % p == a * a % p
+
+
+@functools.lru_cache(maxsize=None)
+def primes_up_to(bound):
+    flags = sieve(max(bound + 1, 3))
+    return [p for p in range(len(flags)) if flags[p]]
+
+
+def reference_factorize(m, bound):
+    """factorize with trial division by every prime up to the bound."""
+    factors, rest = [], m
+    for p in primes_up_to(bound):
+        if p * p > rest:
+            break
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+    if rest > 1:
+        if rest < bound * bound or is_probable_prime(rest):
+            factors.append((rest, 1))
+            rest = 1
+        else:
+            for e in range(rest.bit_length(), 1, -1):
+                root, exact = integer_nth_root(rest, e)
+                if exact and is_probable_prime(root):
+                    factors.append((root, e))
+                    rest = 1
+                    break
+    return NaturalFactorization(factors=factors, cofactor=rest)
+
+
+def _primes_near(center, radius=60):
+    flags = sieve(center + radius + 1)
+    return [p for p in range(center - radius, center + radius + 1) if flags[p]]
+
+
+class TestFactorizeMatchesFullSieve:
+    """factorize sizes its sieve to the input; the result must not change."""
+
+    @pytest.mark.parametrize("bound", [1, 100, 10**6])
+    def test_small_m(self, bound):
+        for m in range(1, 10**4 + 1):
+            assert factorize(m, bound) == reference_factorize(m, bound), m
+
+    def test_prime_squares_and_products_near_bound(self):
+        primes = _primes_near(10**6)
+        cases = [p * p for p in primes] + [p * r for p in primes for r in primes if p < r]
+        for m in cases:
+            assert factorize(m) == reference_factorize(m, 10**6), m
+
+    @pytest.mark.parametrize("bound", [2, 100, 1000, 10**6])
+    def test_around_bound_squared(self, bound):
+        for m in range(bound * bound - 3, bound * bound + 4):
+            assert factorize(m, bound) == reference_factorize(m, bound), m
+
+    def test_random_64_bit(self):
+        rng = random.Random(2006)
+        for _ in range(200):
+            m = rng.randrange(1, 2**64)
+            assert factorize(m) == reference_factorize(m, 10**6), m
 
 
 class TestFactorization:

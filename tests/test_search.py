@@ -229,6 +229,13 @@ class TestRunSearch:
         records = run_search(config)
         assert any(r.x0 == -1 for r in records)
 
+    def test_mnt_records_have_exact_embedding_degree(self):
+        # at D = 11, x0 = 1 gives q = 5, n = 3 with embedding degree 2, not 6
+        records = run_search(SearchConfig(family="mnt6+", d_min=11, d_max=11))
+        assert records and all(r.x0 != 1 for r in records)
+        for record in records:
+            assert verify_record(record).status is RecordStatus.PRIME_OK
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(family="freeman10", max_u_bits=8)
