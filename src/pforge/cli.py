@@ -78,21 +78,40 @@ def serialize_record(record: CurveRecord, provenance: dict | None = None) -> str
     return json.dumps(fields)
 
 
+def _int_field(data: dict, name: str) -> int:
+    value = data[name]
+    # bool is an int subclass, but JSON true/false is no integer
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(
+        f"field {name!r} must be an integer or a decimal string, got {type(value).__name__}"
+    )
+
+
+def _positive_k(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"embedding degree must be at least 1, got k = {k}")
+    return k
+
+
 def parse_record_line(line: str) -> RecordEnvelope:
     data = json.loads(line)
     if not isinstance(data, dict):
         raise ValueError(f"record must be a JSON object, got {type(data).__name__}")
-    status, reason = _parse_status(data.get("status", "PENDING"))
+    status_text = data.get("status", "PENDING")
+    if not isinstance(status_text, str):
+        raise ValueError(f"field 'status' must be a string, got {type(status_text).__name__}")
+    status, reason = _parse_status(status_text)
     for required in ("k", "q", "n"):
         if required not in data:
             raise ValueError(f"record is missing the {required!r} field")
 
     def grab(name: str) -> int | None:
-        return int(data[name]) if name in data else None
+        return _int_field(data, name) if name in data else None
 
-    q, n = int(data["q"]), int(data["n"])
+    q, n = _int_field(data, "q"), _int_field(data, "n")
     record = CurveRecord(
-        k=int(data["k"]),
+        k=_positive_k(_int_field(data, "k")),
         q=q,
         n=n,
         t=grab("t") if "t" in data else q + 1 - n,
@@ -219,7 +238,7 @@ def _inline_record(args: argparse.Namespace) -> CurveRecord:
     q, n = args.q, args.n
     t = args.t if args.t is not None else q + 1 - n
     return CurveRecord(
-        k=args.k, q=q, n=n, t=t, d=args.d, x0=args.x, a=args.a, b=args.b
+        k=_positive_k(args.k), q=q, n=n, t=t, d=args.d, x0=args.x, a=args.a, b=args.b
     )
 
 

@@ -1,7 +1,8 @@
 """Short-Weierstrass arithmetic over prime fields and curve-record
 verification: primality, Hasse, ordinarity, the CM equation
 D*y**2 = 4q - t**2, exact embedding degree, and probabilistic group-order
-confirmation."""
+confirmation.  Single additions are affine; scalar multiplication runs in
+Jacobian coordinates, one inversion per product."""
 
 from __future__ import annotations
 
@@ -105,20 +106,69 @@ def negate_point(point: Point, curve: Curve) -> Point:
     return (x, (-y) % q)
 
 
+# Jacobian point: (X, Y, Z) stands for the affine (X/Z**2, Y/Z**3); Z = 0
+# is the point at infinity.  Formulas: Bernstein-Lange, Explicit-Formulas
+# Database, g1p/auto-shortw-jacobian (dbl-1998-cmo-2 for general a,
+# madd-2004-hmv); Cohen et al., Handbook of Elliptic and Hyperelliptic Curve
+# Cryptography (2005), section 13.2.1.
+JacobianPoint = tuple[int, int, int]
+
+
+def _jacobian_double(x1: int, y1: int, z1: int, a: int, q: int) -> JacobianPoint:
+    # Z3 = 2*Y1*Z1 is 0 for infinity (Z1 = 0) and for points of order 2
+    # (Y1 = 0), so both need no branch.
+    yy = y1 * y1 % q
+    zz = z1 * z1 % q
+    s = 4 * x1 * yy % q
+    m = (3 * x1 * x1 + a * zz * zz) % q
+    x3 = (m * m - 2 * s) % q
+    y3 = (m * (s - x3) - 8 * yy * yy) % q
+    return x3, y3, 2 * y1 * z1 % q
+
+
+def _jacobian_add_affine(
+    x1: int, y1: int, z1: int, x2: int, y2: int, a: int, q: int
+) -> JacobianPoint:
+    """(X1, Y1, Z1) + (x2, y2) for an affine (x2, y2) != infinity."""
+    if z1 == 0:
+        return x2, y2, 1
+    z1z1 = z1 * z1 % q
+    h = (x2 * z1z1 - x1) % q
+    r = (y2 * z1 * z1z1 - y1) % q
+    if h == 0:
+        # same x: the summands are equal (r = 0) or opposite
+        return _jacobian_double(x2, y2, 1, a, q) if r == 0 else (1, 1, 0)
+    hh = h * h % q
+    hhh = h * hh % q
+    v = x1 * hh % q
+    x3 = (r * r - hhh - 2 * v) % q
+    y3 = (r * (v - x3) - y1 * hhh) % q
+    return x3, y3, z1 * h % q
+
+
 def scalar_multiply(point: Point, m: int, curve: Curve) -> Point:
-    """[m]P by double-and-add; [0]P is the point at infinity."""
+    """[m]P by left-to-right double-and-add in Jacobian coordinates, one
+    inversion: the ladder adds the affine P to a Jacobian accumulator and
+    inverts Z once at the end.  [0]P is the point at infinity."""
     if m < 0:
         raise ValueError("scalar must be non-negative")
     if not is_on_curve(point, curve):
         raise ContractError(f"point {point} not on curve")
-    result: Point = INFINITY
-    addend = point
-    while m:
-        if m & 1:
-            result = _add(result, addend, curve)
-        addend = _add(addend, addend, curve)
-        m >>= 1
-    return result
+    if point is None or m == 0:
+        return INFINITY
+    q, a, _ = curve
+    x, y = point
+    acc = (x, y, 1)
+    for bit in bin(m)[3:]:
+        acc = _jacobian_double(*acc, a, q)
+        if bit == "1":
+            acc = _jacobian_add_affine(*acc, x, y, a, q)
+    x3, y3, z3 = acc
+    if z3 == 0:
+        return INFINITY
+    zinv = pow(z3, -1, q)
+    zinv2 = zinv * zinv % q
+    return (x3 * zinv2 % q, y3 * zinv2 * zinv % q)
 
 
 def random_point(curve: Curve, rng: random.Random) -> Point:
@@ -180,6 +230,8 @@ def embedding_degree(q: int, n: int, k_max: int) -> int | None:
 
 def is_exact_embedding_degree(q: int, n: int, k: int) -> bool:
     """q**k = 1 mod n and q**d != 1 mod n for every proper divisor d of k."""
+    if k < 1:
+        raise ValueError(f"embedding degree must be at least 1, got k = {k}")
     if n < 2 or q % n == 0:
         raise ValueError(f"embedding degree undefined: n = {n} divides q = {q}")
     if pow(q, k, n) != 1:

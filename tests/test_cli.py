@@ -305,8 +305,21 @@ class TestExitCodeContract:
             (["verify", "--in"], "[1]", EXIT_USAGE),
             (["verify", "--q", "3", "--n", "5", "--k", "4", "--a", "1", "--b", "1"], None,
              EXIT_VERIFY_FAILED),
+            (["verify", "--in"], '{"k": [1], "q": "5", "n": "3"}', EXIT_USAGE),
+            (["verify", "--in"], '{"k": "6", "q": "5", "n": "3", "status": 5}', EXIT_USAGE),
+            (["verify", "--in"], '{"k": 1e400, "q": "5", "n": "3"}', EXIT_USAGE),
+            (["verify", "--in"], '{"k": "6", "q": "5", "n": "3", "t": null}', EXIT_USAGE),
+            (["verify", "--in"], '{"k": "0", "q": "5", "n": "3"}', EXIT_USAGE),
+            (["verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "0"], None,
+             EXIT_USAGE),
+            (["verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "-10"], None,
+             EXIT_USAGE),
         ],
-        ids=["unknown-family", "k-zero", "non-object-record", "order-check-precondition"],
+        ids=[
+            "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
+            "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
+            "record-k-zero", "inline-k-zero", "inline-k-negative",
+        ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):
         if record_line is not None:

@@ -19,7 +19,7 @@ from pforge.curve import (
 )
 from pforge.errors import CapacityError, ContractError
 
-from conftest import EXAMPLE_149
+from conftest import EXAMPLE_149, EXAMPLE_196
 
 
 def naive_points(q, a, b):
@@ -87,9 +87,32 @@ class TestGroupLaw:
         order = len(pts)
         for point in pts:
             acc = None
-            for m in range(order + 2):
+            for m in range(3 * order + 2):
                 assert scalar_multiply(point, m, curve) == acc
                 acc = naive_add(acc, point, q, a)
+
+    @pytest.mark.parametrize("ex", [EXAMPLE_149, EXAMPLE_196], ids=["149bit", "196bit"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_curve_matches_naive_double_and_add(self, ex, seed):
+        q, a = ex.q, ex.a % ex.q
+        curve = (q, a, ex.b % q)
+        point = random_point(curve, random.Random(seed))
+
+        def naive_multiply(m):
+            acc, addend = None, point
+            while m:
+                if m & 1:
+                    acc = naive_add(acc, addend, q, a)
+                addend = naive_add(addend, addend, q, a)
+                m >>= 1
+            return acc
+
+        rng = random.Random(f"scalars:{seed}")
+        scalars = [1, 2, 3, ex.n - 1, ex.n + 1] + [rng.randrange(q) for _ in range(10)]
+        for m in scalars:
+            assert scalar_multiply(point, m, curve) == naive_multiply(m), m
+        assert scalar_multiply(point, ex.n, curve) is INFINITY
+        assert scalar_multiply(point, ex.n - 1, curve) == negate_point(point, curve)
 
     def test_zero_scalar(self):
         assert scalar_multiply((2, 1), 0, (7, 2, 3)) is INFINITY
@@ -185,6 +208,11 @@ class TestEmbeddingDegree:
     def test_divides_rejected(self):
         with pytest.raises(ValueError):
             embedding_degree(14, 7, 5)
+
+    @pytest.mark.parametrize("k", [0, -10])
+    def test_exact_degree_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            is_exact_embedding_degree(EXAMPLE_149.q, EXAMPLE_149.n, k)
 
     def test_matches_multiplicative_order_sample(self):
         primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
