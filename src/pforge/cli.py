@@ -26,14 +26,8 @@ from .families import (
     verify_family,
 )
 from .intpoly import IntPoly, PolyParseError, parse_poly
-from .pell import (
-    PellProblem,
-    base_solutions,
-    enumerate_solutions,
-    fundamental_unit,
-    reduce_quadratic,
-)
-from .search import SearchConfig, recover_x_from_q, run_search
+from .pell import PellProblem, base_solutions, enumerate_solutions, fundamental_unit
+from .search import SearchConfig, quadratic_points, recover_x_from_q, run_search, split_search
 
 SCHEMA_VERSION = "1"
 
@@ -179,22 +173,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 # --- search ---------------------------------------------------------------
 
 
-def _split_d_range(d_min: int, d_max: int, workers: int) -> list[tuple[int, int]]:
-    total = d_max - d_min + 1
-    if total <= 0 or workers <= 1:
-        return [(d_min, d_max)]
-    chunk = max(1, (total + workers - 1) // workers)
-    return [
-        (lo, min(lo + chunk - 1, d_max)) for lo in range(d_min, d_max + 1, chunk)
-    ]
-
-
-def _search_chunk(config: SearchConfig) -> list[CurveRecord]:
-    return run_search(config)
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    seed = _effective_seed(args.seed)
     q_lo, q_hi = args.q_bits
     try:
         config = SearchConfig(
@@ -208,19 +187,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             max_u_bits=args.max_u_bits,
             max_solutions_per_d=args.max_solutions_per_d,
             max_records=args.max_records,
-            seed=seed,
         )
-        family_by_name(args.family)
+        configs = split_search(config, args.workers)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.workers > 1 and args.family not in ("bn12",) and args.d_max >= args.d_min:
-        chunks = _split_d_range(args.d_min, args.d_max, args.workers)
-        configs = [replace(config, d_min=lo, d_max=hi) for lo, hi in chunks]
+    if len(configs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = pool.map(_search_chunk, configs)
-        records = [record for batch in results for record in batch]
+            records = [record for batch in pool.map(run_search, configs) for record in batch]
     else:
         records = run_search(config)
 
@@ -260,6 +235,9 @@ def _family_consistency(record: CurveRecord, family_name: str) -> CurveRecord:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.in_path and args.q is not None:
         print("error: --in and inline values are mutually exclusive", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return EXIT_USAGE
     records: list[CurveRecord] = []
     if args.in_path:
@@ -354,22 +332,10 @@ def _find_witness(f: IntPoly, d_value: int) -> tuple[int, int] | None:
     """A single integer point on D y^2 = f(x) through the norm-equation
     reduction, or None."""
     try:
-        reduction = reduce_quadratic(
-            f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value
-        )
-        problem = reduction.problem
-        elements = enumerate_solutions(
-            problem.dprime, problem.t_value, max_steps_per_class=64, u_bit_limit=256
-        )
+        points = quadratic_points(f, d_value, u_bits=255, steps=64)
     except (ValueError, CapacityError):
         return None
-    for z in elements:
-        if abs(z.b) % problem.modulus_v != problem.residue_v:
-            continue
-        for u in (z.a, -z.a):
-            if u % problem.modulus_u == problem.residue_u:
-                return reduction.to_xy(u, abs(z.b))
-    return None
+    return points[0] if points else None
 
 
 # --- pell -----------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import CapacityError, ContractError
-from .numtheory import integer_sqrt, is_probable_prime, sqrt_mod_prime
+from .numtheory import factorize, integer_sqrt, is_probable_prime, sqrt_mod_prime
 
 # Affine point: (x, y) with 0 <= x, y < q, or None for the point at infinity.
 Point = tuple[int, int] | None
@@ -229,14 +229,19 @@ def embedding_degree(q: int, n: int, k_max: int) -> int | None:
 
 
 def is_exact_embedding_degree(q: int, n: int, k: int) -> bool:
-    """q**k = 1 mod n and q**d != 1 mod n for every proper divisor d of k."""
+    """q**k = 1 mod n and q**(k/p) != 1 mod n for every prime p | k, so the
+    order of q mod n is exactly k.  Raises ValueError when k does not
+    factor completely."""
     if k < 1:
         raise ValueError(f"embedding degree must be at least 1, got k = {k}")
     if n < 2 or q % n == 0:
         raise ValueError(f"embedding degree undefined: n = {n} divides q = {q}")
     if pow(q, k, n) != 1:
         return False
-    return all(pow(q, d, n) != 1 for d in range(1, k) if k % d == 0)
+    fac = factorize(k)
+    if not fac.complete:
+        raise ValueError(f"could not factor the embedding degree k = {k}")
+    return all(pow(q, k // p, n) != 1 for p, _ in fac.factors)
 
 
 def verify_record(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,6 +48,9 @@ class FamilyDescriptor:
     f: IntPoly
     classification: FamilyClassification
     fixed_d: int | None = None
+    # (modulus, residues) the search draws D from; a restriction the
+    # construction imposes that verify_family cannot derive
+    d_residues: tuple[int, tuple[int, ...]] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,14 @@ def _fixed_d_from_square_form(h: IntPoly, content: int) -> int | None:
     return squarefree if complete else None
 
 
-def _describe(t: IntPoly, n: IntPoly, q: IntPoly, k: int, name: str) -> FamilyDescriptor:
+def _describe(
+    t: IntPoly,
+    n: IntPoly,
+    q: IntPoly,
+    k: int,
+    name: str,
+    d_residues: tuple[int, tuple[int, ...]] | None = None,
+) -> FamilyDescriptor:
     """The descriptor of a family whose conditions hold: f, its
     classification and, for the square form, the fixed D."""
     f = compute_f(t, q)
@@ -185,7 +195,8 @@ def _describe(t: IntPoly, n: IntPoly, q: IntPoly, k: int, name: str) -> FamilyDe
     if classification is FamilyClassification.LINEAR_TIMES_SQUARE:
         fixed_d = _fixed_d_from_square_form(h, content)
     return FamilyDescriptor(
-        name=name, k=k, t=t, n=n, q=q, f=f, classification=classification, fixed_d=fixed_d
+        name=name, k=k, t=t, n=n, q=q, f=f, classification=classification, fixed_d=fixed_d,
+        d_residues=d_residues,
     )
 
 
@@ -218,14 +229,18 @@ def verify_family(
 
 
 _CATALOG_SPEC = [
-    # name, k, t, n, q
+    # name, k, t, n, q[, admissible D as (modulus, sorted residues)]
     ("mnt3+", 3, "-1+6x", "12x^2-6x+1", "12x^2-1"),
     ("mnt3-", 3, "-1-6x", "12x^2+6x+1", "12x^2-1"),
     ("mnt4a", 4, "-x", "x^2+2x+2", "x^2+x+1"),
     ("mnt4b", 4, "x+1", "x^2+1", "x^2+x+1"),
     ("mnt6+", 6, "1+2x", "4x^2-2x+1", "4x^2+1"),
     ("mnt6-", 6, "1-2x", "4x^2+2x+1", "4x^2+1"),
-    ("freeman10", 10, "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1", "25x^4+25x^3+25x^2+10x+3"),
+    # the k = 10 construction needs D = 43 or 67 mod 120 (see filter_discriminant_k10)
+    (
+        "freeman10", 10, "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1", "25x^4+25x^3+25x^2+10x+3",
+        (120, (43, 67)),
+    ),
     ("bn12", 12, "6x^2+1", "36x^4+36x^3+18x^2+6x+1", "36x^4+36x^3+24x^2+6x+1"),
 ]
 
@@ -233,8 +248,8 @@ _CATALOG_SPEC = [
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[FamilyDescriptor, ...]:
     return tuple(
-        _describe(parse_poly(t_text), parse_poly(n_text), parse_poly(q_text), k, name)
-        for name, k, t_text, n_text, q_text in _CATALOG_SPEC
+        _describe(parse_poly(t_text), parse_poly(n_text), parse_poly(q_text), k, name, *residues)
+        for name, k, t_text, n_text, q_text, *residues in _CATALOG_SPEC
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -399,22 +399,6 @@ def _check_stream_contract(
         raise ContractError(
             f"step unit {unit.pair()} is not congruent to 1 mod {problem.modulus_u}"
         )
-
-
-@dataclass(frozen=True)
-class PellSolutionStream:
-    """Immutable cursor over base * unit**n, n = position, position+1, ..."""
-
-    problem: PellProblem
-    base: QuadraticInteger
-    step_unit: QuadraticInteger
-    position: int = 0
-
-    def current(self) -> QuadraticInteger:
-        return self.base * self.step_unit**self.position
-
-    def advanced(self) -> PellSolutionStream:
-        return replace(self, position=self.position + 1)
 
 
 def solutions(

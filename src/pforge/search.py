@@ -1,26 +1,24 @@
-"""Parameter discovery: the k=10 discriminant-driven search, the BN direct
-scan, MNT searches through the norm-equation solver, and recovery of x0
-from a published field size."""
+"""Parameter discovery: one search pipeline over any catalog family, and
+recovery of x0 from a published field size.
+
+A family with a fixed D (f = 4q - t**2 a square times a linear factor) is
+searched by scanning x; any other family with quadratic f goes through the
+norm equation of D y**2 = f(x), for every square-free D in its admissible
+residue classes.  Both feed the same stage: instantiate, the q-bits range,
+the record cap."""
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
-from .families import (
-    FamilyDescriptor,
-    family_by_name,
-    filter_discriminant_k10,
-    instantiate,
-)
+from .families import FamilyDescriptor, family_by_name, instantiate
 from .intpoly import IntPoly
 from .numtheory import squarefree_decompose
-from .pell import base_solutions, enumerate_solutions, reduce_quadratic
-
-K10_RESIDUES = (43, 67)  # admissible D mod 120
+from .pell import enumerate_solutions, reduce_quadratic
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class SearchConfig:
     max_u_bits: int = 128
     max_solutions_per_d: int = 64
     max_records: int = 10**6
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_u_bits < 16:
@@ -53,164 +50,104 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _k10_x_from_u(u: int) -> int | None:
-    """Invert u = +-(15x + 5): u = 5 mod 15 gives x = (u-5)/15, and
-    u = -5 = 10 mod 15 gives x = (-u-5)/15."""
-    r = u % 15
-    if r == 5:
-        return (u - 5) // 15
-    if r == 10:
-        return (-u - 5) // 15
-    return None
-
-
-def search_k10(config: SearchConfig) -> Iterator[CurveRecord]:
-    """The k=10 algorithm: for each admissible D, solve
-    u**2 - 15D v**2 = -20 and harvest x from u = +-5 mod 15.
-
-    Emission is deterministic: D ascending, then |u| ascending; norm
-    equation capacity problems skip the offending D."""
-    family = family_by_name(config.family)
-    if family.name != "freeman10":
-        raise ValueError("search_k10 requires the freeman10 family")
-    emitted = 0
-    for d_value in _k10_discriminants(config.d_min, config.d_max):
-        decision = filter_discriminant_k10(d_value)
-        if not decision.accepted:
-            continue
-        dprime = 15 * d_value
-        try:
-            reps = base_solutions(dprime, -20)
-            elements = enumerate_solutions(
-                dprime,
-                -20,
-                u_bit_limit=config.max_u_bits,
-                max_steps_per_class=config.max_solutions_per_d,
-                reps=reps,
-            )
-        except CapacityError as exc:
-            _progress(f"D={d_value}, skipped: {exc}")
-            continue
-        seen_x: set[int] = set()
-        candidates = 0
-        classes = len(reps)
-        for z in elements:
-            x = _k10_x_from_u(z.a)
-            if x is None or x in seen_x:
-                continue
-            seen_x.add(x)
-            record = instantiate(family, x, d_value)
-            if record.status is not RecordStatus.PRIME_OK:
-                continue
-            if not config.q_bits_ok(record.q):
-                continue
-            candidates += 1
-            yield record
-            emitted += 1
-            if emitted >= config.max_records:
-                _progress(f"D={d_value}, classes={classes}, candidates={candidates}")
-                return
-        _progress(f"D={d_value}, classes={classes}, candidates={candidates}")
-
-
-def _k10_discriminants(d_min: int, d_max: int) -> Iterator[int]:
-    """Ascending D in [d_min, d_max] with D mod 120 in the two admissible
-    residue classes; strides by 120 instead of testing every integer."""
-    if d_max < d_min:
-        return
-    base = d_min - d_min % 120
-    for block in range(base, d_max + 1, 120):
-        for residue in sorted(K10_RESIDUES):
-            d_value = block + residue
-            if d_min <= d_value <= d_max:
-                yield d_value
+def _abs_bounds(x_min: int, x_max: int) -> tuple[int, int]:
+    """(lo, hi) with {x : lo <= |x| <= hi} the union of [x_min, x_max]
+    and its mirror [-x_max, -x_min]; requires x_min <= x_max."""
+    lo = 0 if x_min <= 0 <= x_max else min(abs(x_min), abs(x_max))
+    return lo, max(abs(x_min), abs(x_max))
 
 
 def _signed_range(x_min: int, x_max: int) -> Iterator[int]:
     """Ascending union of [x_min, x_max] and its mirror [-x_max, -x_min]."""
     if x_max < x_min:
         return
-    lo_a, hi_a = -x_max, -x_min
-    lo_b, hi_b = x_min, x_max
-    if hi_a >= lo_b - 1:  # overlapping or adjacent intervals
-        yield from range(min(lo_a, lo_b), max(hi_a, hi_b) + 1)
-    else:
-        yield from range(lo_a, hi_a + 1)
-        yield from range(lo_b, hi_b + 1)
+    lo, hi = _abs_bounds(x_min, x_max)
+    yield from range(-hi, -lo + 1)
+    yield from range(max(lo, 1), hi + 1)
 
 
-def search_bn12(config: SearchConfig) -> Iterator[CurveRecord]:
-    """Direct scan over x (both signs) for the k=12 family; the CM equation
-    3y**2 = f(x) holds identically with y = 6x**2 + 4x + 1."""
-    family = family_by_name(config.family)
-    if family.name != "bn12":
-        raise ValueError("search_bn12 requires the bn12 family")
-    emitted = 0
-    for x in _signed_range(config.x_min, config.x_max):
-        record = instantiate(family, x, 3)
-        if record.status is not RecordStatus.PRIME_OK:
-            continue
-        if not config.q_bits_ok(record.q):
-            continue
-        yield record
-        emitted += 1
-        if emitted >= config.max_records:
-            return
+def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    total = hi - lo + 1
+    if total <= 0 or parts <= 1:
+        return [(lo, hi)]
+    chunk = max(1, (total + parts - 1) // parts)
+    return [(start, min(start + chunk - 1, hi)) for start in range(lo, hi + 1, chunk)]
 
 
-def search_mnt(
-    config: SearchConfig, family: FamilyDescriptor, d_value: int
-) -> Iterator[CurveRecord]:
-    """Solve D y**2 = f(x) for a quadratic-f family branch through the
-    norm-equation reduction, and instantiate every admissible x."""
-    if family.f.degree != 2:
-        raise ValueError(f"family {family.name} does not have quadratic f")
-    squarefree, square, complete = squarefree_decompose(d_value)
-    if not complete or square != 1:
-        raise ValueError(f"D = {d_value} is not verifiably square-free")
-    a = family.f.coefficient(2)
-    b = family.f.coefficient(1)
-    c = family.f.coefficient(0)
-    reduction = reduce_quadratic(a, b, c, d_value)
+def split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
+    """At most `parts` disjoint sub-searches whose records together are the
+    config's: D chunks, or for a fixed-D family chunks of |x|."""
+    if family_by_name(config.family).fixed_d is None:
+        chunks = _split_range(config.d_min, config.d_max, parts)
+        return [replace(config, d_min=lo, d_max=hi) for lo, hi in chunks]
+    if config.x_max < config.x_min:
+        return [config]
+    chunks = _split_range(*_abs_bounds(config.x_min, config.x_max), parts)
+    return [replace(config, x_min=lo, x_max=hi) for lo, hi in chunks]
+
+
+def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
+    """Ascending square-free D in [d_min, d_max], striding over the
+    family's admissible residue classes when it has them."""
+    modulus, residues = family.d_residues or (1, (0,))
+    lo = max(d_min, 1)
+    for block in range(lo - lo % modulus, d_max + 1, modulus):
+        for residue in residues:
+            d_value = block + residue
+            if not lo <= d_value <= d_max:
+                continue
+            _, square, complete = squarefree_decompose(d_value)
+            if not complete:
+                _progress(f"D={d_value}, skipped: square-freeness could not be verified")
+            elif square == 1:
+                yield d_value
+
+
+def quadratic_points(f: IntPoly, d_value: int, u_bits: int, steps: int) -> list[tuple[int, int]]:
+    """Integer points (x, y), y >= 0, on D y**2 = f(x) for quadratic f.
+
+    reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry.
+    The middle coefficient b of f = 4q - t**2 is even, so every admissible
+    (u, v) is even: the points come from (u/2)**2 - D' (v/2)**2 = T/4, in
+    order of |u/2| < 2**u_bits, at most `steps` elements per solution
+    class.  Raises ValueError when D gives no real quadratic order and
+    CapacityError when the base-solution search passes its cap."""
+    if f.degree != 2 or f.coefficient(1) % 2:
+        raise ValueError(f"f = {f} is not quadratic with an even middle coefficient")
+    reduction = reduce_quadratic(f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value)
     problem = reduction.problem
-    try:
-        reps = base_solutions(problem.dprime, problem.t_value)
-        elements = enumerate_solutions(
-            problem.dprime,
-            problem.t_value,
-            u_bit_limit=config.max_u_bits,
-            max_steps_per_class=config.max_solutions_per_d,
-            reps=reps,
-        )
-    except CapacityError as exc:
-        _progress(f"D={d_value}, skipped: {exc}")
-        return
-    classes = len(reps)
-    emitted = 0
-    seen_x: set[int] = set()
-    candidates = 0
-    for z in elements:
-        if abs(z.b) % problem.modulus_v != problem.residue_v:
+    halves = enumerate_solutions(
+        problem.dprime, problem.t_value // 4, u_bit_limit=u_bits, max_steps_per_class=steps
+    )
+    points = []
+    for z in halves:
+        v = 2 * abs(z.b)
+        if v % problem.modulus_v != problem.residue_v:
             continue
-        for u in (z.a, -z.a):
-            if u % problem.modulus_u != problem.residue_u:
-                continue
-            x, _ = reduction.to_xy(u, abs(z.b))
-            if x in seen_x:
-                continue
-            seen_x.add(x)
-            record = instantiate(family, x, d_value)
-            if record.status is not RecordStatus.PRIME_OK:
-                continue
-            if not config.q_bits_ok(record.q):
-                continue
-            candidates += 1
-            yield record
-            emitted += 1
-            if emitted >= config.max_records:
-                _progress(f"D={d_value}, classes={classes}, candidates={candidates}")
-                return
-    _progress(f"D={d_value}, classes={classes}, candidates={candidates}")
+        for u in dict.fromkeys((2 * z.a, -2 * z.a)):
+            if u % problem.modulus_u == problem.residue_u:
+                points.append(reduction.to_xy(u, v))
+    return points
+
+
+def _candidates(
+    family: FamilyDescriptor, config: SearchConfig
+) -> Iterator[tuple[int, Iterator[int]]]:
+    """(D, candidate x values) in search order: one pair for a fixed-D
+    family, else one per D, each D reported on stderr."""
+    if family.fixed_d is not None:
+        yield family.fixed_d, _signed_range(config.x_min, config.x_max)
+        return
+    for d_value in _discriminants(family, config.d_min, config.d_max):
+        try:
+            points = quadratic_points(
+                family.f, d_value, config.max_u_bits, config.max_solutions_per_d
+            )
+        except (ValueError, CapacityError) as exc:
+            _progress(f"D={d_value}, skipped: {exc}")
+            continue
+        _progress(f"D={d_value}, candidates={len(points)}")
+        yield d_value, (x for x, _ in points)
 
 
 def _search_monotone_tail(eval_at, lo: int, target: int) -> int | None:
@@ -265,24 +202,17 @@ def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:
     return -hit if hit is not None else None
 
 
-def run_search(config: SearchConfig, mnt_d: int | None = None) -> list[CurveRecord]:
-    """Dispatch a search to its family driver and materialize the stream."""
-    if config.family == "freeman10":
-        return list(search_k10(config))
-    if config.family == "bn12":
-        return list(search_bn12(config))
+def run_search(config: SearchConfig) -> list[CurveRecord]:
+    """The PRIME_OK records of the family within the config's ranges, in
+    search order (x ascending for a fixed-D family, else D ascending, then
+    |u| ascending), stopping at max_records."""
     family = family_by_name(config.family)
-    if mnt_d is None:
-        out: list[CurveRecord] = []
-        for d_value in range(max(config.d_min, 1), config.d_max + 1):
-            squarefree, square, complete = squarefree_decompose(d_value)
-            if not complete or square != 1:
-                continue
-            try:
-                out.extend(search_mnt(config, family, d_value))
-            except ValueError:
-                continue
-            if len(out) >= config.max_records:
-                return out[: config.max_records]
-        return out
-    return list(search_mnt(config, family, mnt_d))
+    records: list[CurveRecord] = []
+    for d_value, xs in _candidates(family, config):
+        for x in xs:
+            record = instantiate(family, x, d_value)
+            if record.status is RecordStatus.PRIME_OK and config.q_bits_ok(record.q):
+                records.append(record)
+                if len(records) >= config.max_records:
+                    return records
+    return records

@@ -34,7 +34,7 @@ from pforge.pell import (
     reduce_quadratic,
     solutions,
 )
-from pforge.search import SearchConfig, recover_x_from_q, search_k10
+from pforge.search import SearchConfig, recover_x_from_q, run_search
 
 from conftest import EXAMPLE_149, EXAMPLE_196
 
@@ -333,7 +333,7 @@ def test_criterion_11_search_reproduction_and_fallback():
             q_bits_min=148,
             q_bits_max=150,
         )
-        records = list(search_k10(config))
+        records = run_search(config)
         reproduced = any(
             r.q == EXAMPLE_149.q and r.n == EXAMPLE_149.n and r.status is RecordStatus.PRIME_OK
             for r in records

@@ -21,6 +21,15 @@ from pforge.curve import CurveRecord, RecordStatus
 from conftest import EXAMPLE_149
 
 
+def _records_without_provenance(path) -> list[dict]:
+    rows = []
+    for line in path.read_text().splitlines():
+        data = json.loads(line)
+        data.pop("provenance", None)
+        rows.append(data)
+    return rows
+
+
 class TestSerialization:
     def test_round_trip_exact_at_200_bits(self):
         record = CurveRecord(
@@ -110,16 +119,25 @@ class TestSearchCommand:
         out1, out2 = tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"
         assert main(args + ["--workers", "1", "--out", str(out1)]) == EXIT_OK
         assert main(args + ["--workers", "3", "--out", str(out2)]) == EXIT_OK
+        assert _records_without_provenance(out1) == _records_without_provenance(out2)
 
-        def strip(path):
-            rows = []
-            for line in path.read_text().splitlines():
-                data = json.loads(line)
-                data.pop("provenance", None)
-                rows.append(data)
-            return rows
-
-        assert strip(out1) == strip(out2)
+    @pytest.mark.parametrize(
+        "family_args",
+        [
+            ["--family", "mnt6+", "--d-min", "1", "--d-max", "120"],
+            ["--family", "bn12", "--x-min", "-20", "--x-max", "20"],
+            ["--family", "bn12", "--x-min", "-60", "--x-max", "-7"],
+            ["--family", "bn12", "--x-min", "3", "--x-max", "400", "--q-bits", "1..40"],
+        ],
+        ids=["mnt6+", "bn12-both-signs", "bn12-negative", "bn12-positive"],
+    )
+    def test_workers_merge_deterministically_per_family(self, tmp_path, family_args):
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert main(["search", *family_args, "--workers", workers, "--out", str(out)]) == EXIT_OK
+            outputs.append(_records_without_provenance(out))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_pinned_search_reproduces_published_record(self, tmp_path):
         out = tmp_path / "pinned.jsonl"
@@ -296,6 +314,21 @@ class TestSeedOverride:
         assert _effective_seed(5) == 5
 
 
+def _run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(pforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "pforge.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+_PUBLISHED_149_ARGS = [
+    "verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "10",
+    "--a", str(EXAMPLE_149.a), "--b", str(EXAMPLE_149.b),
+]
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv, record_line, code",
@@ -314,11 +347,14 @@ class TestExitCodeContract:
              EXIT_USAGE),
             (["verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "-10"], None,
              EXIT_USAGE),
+            (_PUBLISHED_149_ARGS + ["--trials", "0"], None, EXIT_USAGE),
+            (_PUBLISHED_149_ARGS + ["--trials", "-1"], None, EXIT_USAGE),
         ],
         ids=[
             "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
-            "record-k-zero", "inline-k-zero", "inline-k-negative",
+            "record-k-zero", "inline-k-zero", "inline-k-negative", "trials-zero",
+            "trials-negative",
         ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):
@@ -326,12 +362,7 @@ class TestExitCodeContract:
             path = tmp_path / "records.jsonl"
             path.write_text(record_line + "\n")
             argv = argv + [str(path)]
-        src = os.path.dirname(os.path.dirname(pforge.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pforge.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _run_cli(argv, timeout=60)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if code == EXIT_USAGE:
@@ -339,6 +370,17 @@ class TestExitCodeContract:
         else:
             status = json.loads(proc.stdout)["status"]
             assert status.startswith("REJECTED(group order check: ")
+
+    def test_large_embedding_degree_decided_from_prime_factors(self):
+        # q**(k/3) = 1 mod n, so the degree is below k; a scan over every
+        # d < k would not finish
+        k = 999999998940
+        proc = _run_cli(
+            ["verify", "--q", "1000000000039", "--n", "999999998941", "--k", str(k)], timeout=10
+        )
+        assert proc.returncode == EXIT_VERIFY_FAILED, proc.stderr
+        status = json.loads(proc.stdout)["status"]
+        assert status == f"REJECTED(embedding degree is not exactly {k})"
 
 
 class TestUsage:

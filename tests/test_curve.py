@@ -228,6 +228,24 @@ class TestEmbeddingDegree:
                 assert embedding_degree(q, n, order) == order
                 assert is_exact_embedding_degree(q, n, order)
 
+    def test_exact_degree_matches_divisor_scan(self):
+        primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+        for n in primes:
+            for q in primes:
+                if q == n:
+                    continue
+                for k in range(1, 61):
+                    expected = pow(q, k, n) == 1 and all(
+                        pow(q, d, n) != 1 for d in range(1, k) if k % d == 0
+                    )
+                    assert is_exact_embedding_degree(q, n, k) is expected, (q, n, k)
+
+    def test_unfactorable_degree_rejected(self):
+        # 2 has order 10 mod 11, so 2**k = 1 mod 11; k's cofactor
+        # 1000003 * 1000033 is past the trial-division bound
+        with pytest.raises(ValueError, match="could not factor"):
+            is_exact_embedding_degree(2, 11, 10 * 1000003 * 1000033)
+
 
 class TestVerifyRecord:
     def make_record(self, ex, **overrides):

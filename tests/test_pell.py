@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pforge.errors import CapacityError, ContractError
 from pforge.pell import (
     PellProblem,
-    PellSolutionStream,
     QuadraticInteger,
     base_solutions,
     canonical_representative,
@@ -233,16 +232,6 @@ class TestSolutions:
         if bad_unit.a % 30 != 1 or bad_unit.b % 30 != 0:
             with pytest.raises(ContractError):
                 solutions(red.problem, good_base, bad_unit, 1)
-
-    def test_stream_cursor(self):
-        red = self.make_problem()
-        base = QuadraticInteger(-50, 2, red.problem.dprime)
-        unit = congruence_unit(15, red.problem.dprime).unit
-        stream = PellSolutionStream(red.problem, base, unit)
-        assert stream.current().pair() == (-50, 2)
-        nxt = stream.advanced()
-        assert nxt.position == 1 and stream.position == 0
-        assert nxt.current() == base * unit
 
 
 class TestEnumeration:

@@ -3,15 +3,14 @@ import math
 import pytest
 
 from pforge.curve import RecordStatus, verify_record
-from pforge.families import family_by_name
+from pforge.families import family_by_name, filter_discriminant_k10
 from pforge.search import (
     SearchConfig,
+    _discriminants,
     _signed_range,
+    quadratic_points,
     recover_x_from_q,
     run_search,
-    search_bn12,
-    search_k10,
-    search_mnt,
 )
 
 from conftest import EXAMPLE_149, EXAMPLE_196
@@ -65,6 +64,15 @@ class TestSignedRange:
     def test_adjacent(self):
         assert list(_signed_range(1, 4)) == [-4, -3, -2, -1, 1, 2, 3, 4]
 
+    def test_negative_bounds(self):
+        assert list(_signed_range(-5, -3)) == [-5, -4, -3, 3, 4, 5]
+
+    def test_matches_definition(self):
+        for x_min in range(-8, 9):
+            for x_max in range(x_min - 1, 9):
+                expected = [x for x in range(-9, 10) if x_min <= x <= x_max or x_min <= -x <= x_max]
+                assert list(_signed_range(x_min, x_max)) == expected, (x_min, x_max)
+
 
 class TestSearchK10:
     def test_pinned_to_example_149(self):
@@ -72,7 +80,7 @@ class TestSearchK10:
             family="freeman10", d_min=EXAMPLE_149.d, d_max=EXAMPLE_149.d,
             q_bits_min=148, q_bits_max=150,
         )
-        records = list(search_k10(config))
+        records = run_search(config)
         assert len(records) == 1
         record = records[0]
         assert record.q == EXAMPLE_149.q
@@ -82,22 +90,22 @@ class TestSearchK10:
 
     def test_rejected_congruence_class_is_empty(self):
         config = SearchConfig(family="freeman10", d_min=44, d_max=44)
-        assert list(search_k10(config)) == []
+        assert run_search(config) == []
 
     def test_small_range_finds_d43(self):
         config = SearchConfig(family="freeman10", d_min=1, d_max=200, q_bits_max=64)
-        records = list(search_k10(config))
+        records = run_search(config)
         assert any(r.d == 43 and r.x0 == -2 for r in records)
 
     def test_deterministic(self):
         config = SearchConfig(family="freeman10", d_min=1, d_max=2000, q_bits_max=80)
-        first = [(r.d, r.x0) for r in search_k10(config)]
-        second = [(r.d, r.x0) for r in search_k10(config)]
+        first = [(r.d, r.x0) for r in run_search(config)]
+        second = [(r.d, r.x0) for r in run_search(config)]
         assert first == second
 
     def test_emitted_discriminants_satisfy_congruence_sieve(self):
         config = SearchConfig(family="freeman10", d_min=1, d_max=5000, q_bits_max=96)
-        for record in search_k10(config):
+        for record in run_search(config):
             assert record.d % 120 in (43, 67)
             # CM data is complete for a construction run
             f_v = 4 * record.q - record.t * record.t
@@ -106,61 +114,63 @@ class TestSearchK10:
 
     def test_emitted_records_verify(self):
         config = SearchConfig(family="freeman10", d_min=1, d_max=3000, q_bits_max=96)
-        for record in search_k10(config):
+        for record in run_search(config):
             assert verify_record(record).status is RecordStatus.PRIME_OK
 
     def test_max_records_cap(self):
         config = SearchConfig(
             family="freeman10", d_min=1, d_max=5000, q_bits_max=96, max_records=1
         )
-        assert len(list(search_k10(config))) == 1
+        assert len(run_search(config)) == 1
 
-    def test_wrong_family_rejected(self):
-        with pytest.raises(ValueError):
-            list(search_k10(SearchConfig(family="bn12")))
+    def test_discriminant_stream_equals_filter(self):
+        stream = list(_discriminants(family_by_name("freeman10"), 1, 10**5))
+        accepted = [d for d in range(1, 10**5 + 1) if filter_discriminant_k10(d).accepted]
+        assert stream == accepted
+        assert len(stream) == 1585
 
 
 class TestSearchBN12:
     def test_range_zero_two(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=2)
-        got = [(r.x0, r.q, r.n) for r in search_bn12(config)]
+        got = [(r.x0, r.q, r.n) for r in run_search(config)]
         # frozen oracle: q(x), n(x) both prime at x = -2, -1, 1 only
         assert got == [(-2, 373, 349), (-1, 19, 13), (1, 103, 97)]
 
     def test_empty_range(self):
         config = SearchConfig(family="bn12", x_min=5, x_max=4)
-        assert list(search_bn12(config)) == []
+        assert run_search(config) == []
 
     def test_cm_identity_on_every_emission(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=50)
-        for record in search_bn12(config):
+        for record in run_search(config):
             y = 6 * record.x0**2 + 4 * record.x0 + 1
             assert 4 * record.q - record.t**2 == 3 * y * y
             assert record.d == 3
 
     def test_emitted_records_verify_at_k12(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=30)
-        records = list(search_bn12(config))
+        records = run_search(config)
         assert records
         for record in records:
             assert verify_record(record).status is RecordStatus.PRIME_OK
 
     def test_q_bits_filter(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=3000, q_bits_min=30, q_bits_max=40)
-        for record in search_bn12(config):
+        for record in run_search(config):
             assert 30 <= record.q.bit_length() <= 40
 
 
 class TestSearchMNT:
     def test_mnt6_d19(self):
-        config = SearchConfig(family="mnt6+", max_solutions_per_d=32)
-        records = list(search_mnt(config, family_by_name("mnt6+"), 19))
+        config = SearchConfig(family="mnt6+", d_min=19, d_max=19, max_solutions_per_d=32)
+        records = run_search(config)
         assert any((r.x0, r.q, r.n) == (-1, 5, 7) for r in records)
 
     def test_no_solution_gives_empty_stream(self):
-        config = SearchConfig(family="mnt6+")
+        config = SearchConfig(family="mnt6+", d_min=5, d_max=5)
         # D = 5: f = 12x^2 - 4x + 3, norm equation turns out unsolvable
-        records = list(search_mnt(config, family_by_name("mnt6+"), 5))
+        records = run_search(config)
         for record in records:
             assert record.status is RecordStatus.PRIME_OK  # stream may be empty
 
@@ -202,16 +212,38 @@ class TestSearchMNT:
                                 got.add((x, abs(y)))
                 assert scan <= got, (name, d_value, scan - got)
 
-    def test_rejects_nonsquarefree_d(self):
-        config = SearchConfig(family="mnt6+")
-        with pytest.raises(ValueError):
-            list(search_mnt(config, family_by_name("mnt6+"), 12))
+    @pytest.mark.parametrize(
+        "name, d_values",
+        [("mnt6+", (11, 19, 23, 29)), ("mnt3-", (11, 19, 23, 29)), ("mnt4a", (11, 19, 35)),
+         ("freeman10", (43, 67, 163))],
+    )
+    def test_quadratic_points_cover_exhaustive_scan(self, name, d_values):
+        """quadratic_points solves the halved norm equation; every point
+        of D y^2 = f(x) with |x| <= 10^4 from a direct scan must be among
+        its points, and every point it returns must lie on the curve."""
+        f = family_by_name(name).f
+        for d_value in d_values:
+            scan = set()
+            for x in range(-10**4, 10**4 + 1):
+                f_v = f.evaluate(x)
+                if f_v > 0 and f_v % d_value == 0:
+                    y = math.isqrt(f_v // d_value)
+                    if y * y == f_v // d_value:
+                        scan.add((x, y))
+            points = quadratic_points(f, d_value, u_bits=40, steps=4096)
+            assert all(d_value * y * y == f.evaluate(x) and y >= 0 for x, y in points)
+            assert len(set(points)) == len(points)
+            assert scan <= set(points), (name, d_value, scan - set(points))
 
-    def test_square_ad_rejected_with_reason(self):
-        config = SearchConfig(family="mnt3+")
+    def test_rejects_nonsquarefree_d(self):
+        # D = 12 = 3 * 2^2 is not a square-free discriminant: never visited
+        assert run_search(SearchConfig(family="mnt6+", d_min=12, d_max=12)) == []
+
+    def test_square_ad_rejected_with_reason(self, capsys):
         # a = 12 for mnt3 branches; D = 3 makes aD = 36 square
-        with pytest.raises(ValueError, match="perfect square"):
-            list(search_mnt(config, family_by_name("mnt3+"), 3))
+        assert run_search(SearchConfig(family="mnt3+", d_min=3, d_max=3)) == []
+        err = capsys.readouterr().err
+        assert err.startswith("D=3, skipped:") and "perfect square" in err
 
 
 class TestRunSearch:
