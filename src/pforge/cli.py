@@ -82,10 +82,10 @@ def _int_field(data: dict, name: str) -> int:
     )
 
 
-def _positive_k(k: int) -> int:
-    if k < 1:
-        raise ValueError(f"embedding degree must be at least 1, got k = {k}")
-    return k
+def _at_least_one(name: str, value: int | None) -> int | None:
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def parse_record_line(line: str) -> RecordEnvelope:
@@ -105,11 +105,11 @@ def parse_record_line(line: str) -> RecordEnvelope:
 
     q, n = _int_field(data, "q"), _int_field(data, "n")
     record = CurveRecord(
-        k=_positive_k(_int_field(data, "k")),
+        k=_at_least_one("embedding degree k", _int_field(data, "k")),
         q=q,
         n=n,
         t=grab("t") if "t" in data else q + 1 - n,
-        d=grab("d"),
+        d=_at_least_one("discriminant D", grab("d")),
         x0=grab("x0"),
         a=grab("a"),
         b=grab("b"),
@@ -175,23 +175,18 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_search(args: argparse.Namespace) -> int:
     q_lo, q_hi = args.q_bits
-    try:
-        config = SearchConfig(
-            family=args.family,
-            d_min=args.d_min,
-            d_max=args.d_max,
-            x_min=args.x_min,
-            x_max=args.x_max,
-            q_bits_min=q_lo,
-            q_bits_max=q_hi,
-            max_u_bits=args.max_u_bits,
-            max_solutions_per_d=args.max_solutions_per_d,
-            max_records=args.max_records,
-        )
-        configs = split_search(config, args.workers)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = SearchConfig(
+        family=args.family,
+        d_min=args.d_min,
+        d_max=args.d_max,
+        x_min=args.x_min,
+        x_max=args.x_max,
+        q_bits_min=q_lo,
+        q_bits_max=q_hi,
+        max_u_bits=args.max_u_bits,
+        max_records=args.max_records,
+    )
+    configs = split_search(config, args.workers)
 
     if len(configs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -212,9 +207,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _inline_record(args: argparse.Namespace) -> CurveRecord:
     q, n = args.q, args.n
     t = args.t if args.t is not None else q + 1 - n
-    return CurveRecord(
-        k=_positive_k(args.k), q=q, n=n, t=t, d=args.d, x0=args.x, a=args.a, b=args.b
-    )
+    k, d = _at_least_one("embedding degree k", args.k), _at_least_one("discriminant D", args.d)
+    return CurveRecord(k=k, q=q, n=n, t=t, d=d, x0=args.x, a=args.a, b=args.b)
 
 
 def _family_consistency(record: CurveRecord, family_name: str) -> CurveRecord:
@@ -236,9 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.in_path and args.q is not None:
         print("error: --in and inline values are mutually exclusive", file=sys.stderr)
         return EXIT_USAGE
-    if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_USAGE
+    _at_least_one("--trials", args.trials)
     records: list[CurveRecord] = []
     if args.in_path:
         try:
@@ -332,7 +324,7 @@ def _find_witness(f: IntPoly, d_value: int) -> tuple[int, int] | None:
     """A single integer point on D y^2 = f(x) through the norm-equation
     reduction, or None."""
     try:
-        points = quadratic_points(f, d_value, u_bits=255, steps=64)
+        points = quadratic_points(f, d_value, u_bits=255)
     except (ValueError, CapacityError):
         return None
     return points[0] if points else None
@@ -342,11 +334,8 @@ def _find_witness(f: IntPoly, d_value: int) -> tuple[int, int] | None:
 
 
 def cmd_pell(args: argparse.Namespace) -> int:
-    try:
-        unit = fundamental_unit(args.dprime)
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _at_least_one("--count", args.count)
+    unit = fundamental_unit(args.dprime)
     cf_a, cf_b = unit.cf_unit.pair()
     one_a, one_b = unit.norm_one.pair()
     print(f"fundamental unit: {cf_a} + {cf_b} sqrt({args.dprime}) (norm {unit.cf_unit.norm()})")
@@ -359,19 +348,9 @@ def cmd_pell(args: argparse.Namespace) -> int:
 
     mod_u, res_u = args.mod_u if args.mod_u else (1, 0)
     mod_v, res_v = args.mod_v if args.mod_v else (1, 0)
-    try:
-        problem = PellProblem(args.dprime, args.t, mod_u, res_u, mod_v, res_v)
-        reps = base_solutions(args.dprime, args.t)
-        elements = enumerate_solutions(
-            args.dprime,
-            args.t,
-            max_steps_per_class=max(64, 4 * args.count),
-            u_bit_limit=args.max_u_bits,
-            reps=reps,
-        )
-    except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = PellProblem(args.dprime, args.t, mod_u, res_u, mod_v, res_v)
+    reps = base_solutions(args.dprime, args.t)
+    elements = enumerate_solutions(args.dprime, args.t, u_bit_limit=args.max_u_bits)
     for rep in reps:
         print(f"solution class: u = {rep.a}, v = {rep.b}")
     constrained = []
@@ -413,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-max", type=int, default=-1)
     sp.add_argument("--q-bits", type=_q_bits_range, default=(1, 10**6), metavar="MIN..MAX")
     sp.add_argument("--max-u-bits", type=int, default=128)
-    sp.add_argument("--max-solutions-per-d", type=int, default=64)
     sp.add_argument("--max-records", type=int, default=10**6)
     sp.add_argument("--out", default=None)
     sp.add_argument("--workers", type=int, default=1)
@@ -468,9 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, KeyError, ContractError) as exc:
+    except (ValueError, KeyError, ContractError, CapacityError) as exc:
         # invalid input found below the argument parser: an unknown family,
-        # an out-of-domain value, a violated precondition
+        # an out-of-domain value, a violated precondition, a resource cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

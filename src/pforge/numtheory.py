@@ -213,6 +213,33 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return x
 
 
+def sqrt_mod(a: int, m: int) -> list[int]:
+    """Every z in [0, m) with z**2 = a mod m, ascending: the roots modulo
+    each prime p | m from sqrt_mod_prime, lifted one power of p at a time,
+    combined by CRT.  Raises ValueError when m does not factor completely."""
+    fac = factorize(m)
+    if not fac.complete:
+        raise ValueError(f"could not factor the modulus {m}")
+    roots, modulus = [0], 1
+    for p, e in fac.factors:
+        root = sqrt_mod_prime(a, p)
+        local, pk = ([] if root is None else sorted({root, -root % p})), p
+        for _ in range(e - 1):
+            lifted = []
+            for r in local:
+                if p != 2 and r % p:
+                    # Hensel: 2r is a unit mod p, so r lifts uniquely
+                    lifted.append((r - (r * r - a) * pow(2 * r, -1, pk * p)) % (pk * p))
+                elif (r * r - a) % (pk * p) == 0:
+                    # p | 2r: (r + j p^k)^2 = r^2 mod p^(k+1) for every j
+                    lifted.extend(r + j * pk for j in range(p))
+            local, pk = lifted, pk * p
+        inv = pow(modulus, -1, pk)
+        roots = [r + modulus * ((s - r) * inv % pk) for r in roots for s in local]
+        modulus *= pk
+    return sorted(roots)
+
+
 @dataclass
 class NaturalFactorization:
     """Partial factorization: product of prime**exp terms times an

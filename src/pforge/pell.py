@@ -1,25 +1,24 @@
 """Norm equations u**2 - D'*v**2 = T in real quadratic orders.
 
-Continued-fraction fundamental units, base-solution classes, the unit
-congruent to 1 modulo 2a that preserves solution congruences, and the
-resulting infinite solution streams.  This is the machinery that turns
-one integer point on D*y**2 = f(x) (f quadratic) into infinitely many.
+One continued-fraction walk, `_pqa`, gives the period and fundamental unit
+of sqrt(D'), the Lagrange-Matthews-Mollin base-solution classes of any T,
+and, for T**2 < D', every solution directly (Lagrange).  On top sit the
+unit congruent to 1 modulo 2a that preserves solution congruences and the
+reduction of D*y**2 = f(x) (f quadratic) to a constrained norm equation.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, ContractError
-from .numtheory import integer_sqrt, is_perfect_square, squarefree_decompose
+from .numtheory import factorize, is_perfect_square, sqrt_mod, squarefree_decompose
 
 DEFAULT_MAX_PERIOD = 10**7
-DEFAULT_MAX_BRUTE_SCAN = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,60 +88,49 @@ class CFExpansion:
     def period(self) -> int:
         return len(self.periodic)
 
-    def partial_quotient(self, i: int) -> int:
-        if i == 0:
-            return self.a0
-        return self.periodic[(i - 1) % self.period]
-
     def convergents(self) -> Iterator[tuple[int, int]]:
         """Yield (p_i, q_i) for i = 0, 1, 2, ..."""
-        p_prev, q_prev = 1, 0
-        p, q = self.a0, 1
-        for i in itertools.count(1):
+        for _, _, _, p, q in itertools.islice(_pqa(0, 1, self.dprime), 1, None):
             yield p, q
-            a = self.partial_quotient(i)
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
+
+
+def _pqa(p0: int, q0: int, dprime: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """The continued fraction of (p0 + sqrt(dprime)) / q0 (PQa), for q0 != 0
+    dividing dprime - p0**2: yields (a_i, P_i, Q_i, G_{i-1}, B_{i-1}) for
+    i = 0, 1, 2, ... with G_{i-1}**2 - dprime * B_{i-1}**2 = (-1)**i * Q_i * q0.
+    From (0, 1), G/B are the convergents of sqrt(dprime)."""
+    root = math.isqrt(dprime)
+    p, q = p0, q0
+    g_prev, g = -p0, q0
+    b_prev, b = 1, 0
+    while True:
+        # floor((p + sqrt(dprime)) / q), exact because sqrt(dprime) is irrational
+        a = (p + root) // q if q > 0 else (p + root + 1) // q
+        yield a, p, q, g, b
+        g_prev, g = g, a * g + g_prev
+        b_prev, b = b, a * b + b_prev
+        p = a * q - p
+        q = (dprime - p * p) // q
 
 
 @lru_cache(maxsize=16)
 def continued_fraction_sqrt(dprime: int, max_period: int = DEFAULT_MAX_PERIOD) -> CFExpansion:
-    """Expand sqrt(dprime) with period detection.
+    """Expand sqrt(dprime); the period ends at the first Q_i = 1, i >= 1.
 
     Raises CapacityError when the period exceeds max_period.
     """
     _require_nonsquare(dprime)
-    a0 = math.isqrt(dprime)
+    walk = _pqa(0, 1, dprime)
+    a0 = next(walk)[0]
     quotients = []
-    m, d, a = 0, 1, a0
-    while True:
-        m = d * a - m
-        d = (dprime - m * m) // d
-        a = (a0 + m) // d
+    for a, _, q, _, _ in walk:
         quotients.append(a)
-        if d == 1:
+        if q == 1:
             return CFExpansion(dprime, a0, tuple(quotients))
         if len(quotients) >= max_period:
             raise CapacityError(
                 f"continued fraction of sqrt({dprime}) has period > {max_period}"
             )
-
-
-def _convergent_values(cf: CFExpansion) -> Iterator[tuple[int, int, int]]:
-    """Yield (p_i, q_i, p_i**2 - dprime * q_i**2) using the classical
-    identity with the expansion's d-sequence, avoiding big squarings."""
-    dprime, a0 = cf.dprime, cf.a0
-    m, d = 0, 1
-    a = a0
-    p_prev, q_prev = 1, 0
-    p, q = a0, 1
-    for i in itertools.count(0):
-        m = d * a - m
-        d = (dprime - m * m) // d
-        yield p, q, (d if i % 2 else -d)
-        a = (a0 + m) // d
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
 
 
 class FundamentalUnit(NamedTuple):
@@ -154,17 +142,14 @@ class FundamentalUnit(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def fundamental_unit(dprime: int, max_period: int = DEFAULT_MAX_PERIOD) -> FundamentalUnit:
-    """Fundamental unit of Z[sqrt(dprime)] from the continued fraction."""
-    cf = continued_fraction_sqrt(dprime, max_period)
-    p, q = 1, 0
-    for i, (pc, qc) in zip(range(cf.period), cf.convergents()):
-        p, q = pc, qc
+def fundamental_unit(dprime: int) -> FundamentalUnit:
+    """Fundamental unit of Z[sqrt(dprime)]: the convergent that ends the
+    first period of the continued fraction."""
+    period = continued_fraction_sqrt(dprime).period
+    _, _, _, p, q = next(itertools.islice(_pqa(0, 1, dprime), period, None))
     unit = QuadraticInteger(p, q, dprime)
-    nrm = unit.norm()
-    if nrm == 1:
+    if unit.norm() == 1:
         return FundamentalUnit(unit, unit)
-    assert nrm == -1
     return FundamentalUnit(unit, unit * unit)
 
 
@@ -190,84 +175,76 @@ def _normalize_sign(z: QuadraticInteger) -> QuadraticInteger:
 
 def canonical_representative(z: QuadraticInteger, norm_one: QuadraticInteger) -> QuadraticInteger:
     """Walk z by unit multiples to the class element minimizing (|v|, |u|),
-    sign-normalized to v >= 0 (u > 0 when v = 0)."""
+    sign-normalized to v >= 0 (u > 0 when v = 0); when (u, v) and (-u, v)
+    both lie in the class, the one with u > 0."""
     inv = norm_one.inverse_unit()
-    best = z
+
+    def key(w: QuadraticInteger) -> tuple[int, int, bool]:
+        return (*_class_key(w), w.a < 0)
+
+    best = _normalize_sign(z)
     while True:
         for cand in (best * norm_one, best * inv):
-            if _class_key(cand) < _class_key(best):
+            cand = _normalize_sign(cand)
+            if key(cand) < key(best):
                 best = cand
                 break
         else:
-            break
-    return _normalize_sign(best)
+            return best
 
 
-def base_solutions(
-    dprime: int,
-    t_value: int,
-    max_period: int = DEFAULT_MAX_PERIOD,
-    max_brute_scan: int = DEFAULT_MAX_BRUTE_SCAN,
-) -> list[QuadraticInteger]:
-    """One canonical representative per class of u**2 - dprime*v**2 = t_value.
+def _square_divisors(t_value: int) -> list[int]:
+    """Every f >= 1 with f**2 | t_value."""
+    fac = factorize(abs(t_value))
+    if not fac.complete:
+        raise ValueError(f"could not factor T = {t_value}")
+    divisors = [1]
+    for p, e in fac.factors:
+        divisors = [f * p**k for f in divisors for k in range(e // 2 + 1)]
+    return divisors
 
-    |T| < sqrt(dprime): primitive solutions come from convergents of
-    sqrt(dprime) scanned over two periods, plus the g-scaled sub-problems
-    T/g**2 for every g with g**2 | T (imprimitive classes).  Otherwise a
-    bounded scan up to the classical fundamental-solution bound
-    |v| <= sqrt(|T| (alpha0 + 1) / (2 dprime)).  Empty list: no solution.
+
+def _lmm_solution(
+    dprime: int, z: int, m: int, cf_unit: QuadraticInteger
+) -> QuadraticInteger | None:
+    """The solution class of u**2 - dprime*v**2 = m that belongs to the root
+    z of dprime mod |m| (Lagrange-Matthews-Mollin), or None: walk
+    (z + sqrt(dprime)) / |m| to its first Q_i = +-1, i >= 1; a repeated
+    (P, Q) closes the period without one."""
+    seen = set()
+    for i, (_, p, q, g, b) in enumerate(_pqa(z, abs(m), dprime)):
+        if i and abs(q) == 1:
+            solution = QuadraticInteger(g, b, dprime)
+            if (-1) ** i * q * abs(m) == m:
+                return solution
+            # norm -m: a norm -1 unit carries it to norm m, else no solution
+            return solution * cf_unit if cf_unit.norm() == -1 else None
+        if (p, q) in seen:
+            return None
+        seen.add((p, q))
+
+
+def base_solutions(dprime: int, t_value: int) -> list[QuadraticInteger]:
+    """One canonical representative per class of u**2 - dprime*v**2 = t_value,
+    by Lagrange-Matthews-Mollin: for each f with f**2 | T and each root z of
+    dprime mod |m|, m = T / f**2, one PQa walk (_lmm_solution) decides
+    whether z carries a class of primitive solutions of norm m; f times it
+    is a class of T, and distinct (f, z) give distinct classes.  Empty
+    list: no solution.  Raises ValueError when T does not factor completely.
     """
     _require_nonsquare(dprime)
     if t_value == 0:
         raise ValueError("T must be nonzero")
-
-    candidates: list[QuadraticInteger] = []
-    if t_value > 0:
-        root, exact = integer_sqrt(t_value)
-        if exact:
-            candidates.append(QuadraticInteger(root, 0, dprime))
-    else:
-        quot, rem = divmod(-t_value, dprime)
-        if rem == 0:
-            root, exact = integer_sqrt(quot)
-            if exact:
-                candidates.append(QuadraticInteger(0, root, dprime))
-
-    unit = fundamental_unit(dprime, max_period).norm_one
-
-    if t_value * t_value < dprime:
-        cf = continued_fraction_sqrt(dprime, max_period)
-        scan = 2 * cf.period
-        divisors = [g for g in range(1, integer_sqrt(abs(t_value))[0] + 1) if t_value % (g * g) == 0]
-        targets = {t_value // (g * g): g for g in divisors}
-        for i, (p, q, value) in zip(range(scan), _convergent_values(cf)):
-            if value in targets:
-                g = targets[value]
-                candidates.append(QuadraticInteger(g * p, g * q, dprime))
-                candidates.append(QuadraticInteger(g * p, -g * q, dprime))
-    else:
-        alpha0 = unit.a
-        bound = 1 + math.isqrt(abs(t_value) * (alpha0 + 1) // (2 * dprime)) + 1
-        if bound > max_brute_scan:
-            raise CapacityError(
-                f"fundamental-solution scan bound {bound} exceeds cap {max_brute_scan} "
-                f"(dprime={dprime}, T={t_value})"
-            )
-        for v in range(bound + 1):
-            usq = t_value + dprime * v * v
-            if usq < 0:
-                continue
-            u, exact = integer_sqrt(usq)
-            if exact:
-                candidates.append(QuadraticInteger(u, v, dprime))
-                if u:
-                    candidates.append(QuadraticInteger(-u, v, dprime))
-
+    unit = fundamental_unit(dprime)
     reps: list[QuadraticInteger] = []
-    for cand in candidates:
-        assert cand.norm() == t_value
-        if not any(same_class(cand, r, t_value) for r in reps):
-            reps.append(canonical_representative(cand, unit))
+    for f in _square_divisors(t_value):
+        m = t_value // (f * f)
+        for z in sqrt_mod(dprime, abs(m)):
+            solution = _lmm_solution(dprime, z, m, unit.cf_unit)
+            if solution is None:
+                continue
+            cand = QuadraticInteger(f * solution.a, f * solution.b, dprime)
+            reps.append(canonical_representative(cand, unit.norm_one))
     reps.sort(key=lambda z: (_class_key(z), z.a))
     return reps
 
@@ -277,15 +254,13 @@ class CongruenceUnit(NamedTuple):
     exponent: int
 
 
-def congruence_unit(
-    a: int, dprime: int, max_period: int = DEFAULT_MAX_PERIOD
-) -> CongruenceUnit:
+def congruence_unit(a: int, dprime: int) -> CongruenceUnit:
     """The least power (alpha1, beta1) of the fundamental norm-one unit with
     alpha1 = 1 and beta1 = 0 mod 2a; the exponent is the order of the unit's
     image in (Z/2aZ)[x]/(x**2 - dprime), which is below 4*a**2."""
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    unit = fundamental_unit(dprime, max_period).norm_one
+    unit = fundamental_unit(dprime).norm_one
     modulus = 2 * a
     wa, wb = unit.a % modulus, unit.b % modulus
     m = 1
@@ -430,35 +405,41 @@ def solutions(
     return out
 
 
-def _class_walk(
-    rep: QuadraticInteger,
-    unit: QuadraticInteger,
-    v_limit: int | None,
-    u_bit_limit: int | None,
-    max_steps: int,
-) -> Iterator[QuadraticInteger]:
-    """Elements of rep's class ordered by |u|, walking both unit directions
-    from the canonical representative; stops at any configured limit."""
-    inv = unit.inverse_unit()
-    heads = [rep, rep * inv]
-    steps = [unit, inv]
-    emitted = 0
+_Bound = Callable[[QuadraticInteger], bool]
 
-    def exhausted(z: QuadraticInteger) -> bool:
-        if v_limit is not None and abs(z.b) > v_limit:
-            return True
-        if u_bit_limit is not None and abs(z.a).bit_length() > u_bit_limit:
-            return True
-        return False
 
-    while emitted < max_steps:
-        alive = [i for i in (0, 1) if not exhausted(heads[i])]
-        if not alive:
-            return
-        i = min(alive, key=lambda j: abs(heads[j].a))
-        yield heads[i]
-        emitted += 1
-        heads[i] = heads[i] * steps[i]
+def _convergent_solutions(dprime: int, t_value: int, within: _Bound) -> list[QuadraticInteger]:
+    """For t_value**2 < dprime: g * (p, q) for each convergent p/q of
+    sqrt(dprime) with p**2 - dprime*q**2 = t_value / g**2, while `within`
+    holds for (p, q)."""
+    scales = {t_value // (g * g): g for g in _square_divisors(t_value)}
+    found = []
+    for i, (_, _, q, p, v) in enumerate(_pqa(0, 1, dprime)):
+        if not within(QuadraticInteger(p, v, dprime)):
+            return found
+        g = scales.get((-1) ** i * q)
+        if g is not None and within(z := QuadraticInteger(g * p, g * v, dprime)):
+            found.append(z)
+
+
+def _class_solutions(
+    dprime: int, t_value: int, within: _Bound, max_steps: int | None
+) -> list[QuadraticInteger]:
+    """rep * unit**k, k >= 0, for each base-solution class while `within`
+    holds, at most max_steps per class when given; one element per
+    (|u|, |v|).  |u| grows with k from the canonical rep, and the k < 0
+    elements are, up to sign, the conjugates of the k > 0 elements of the
+    conjugate class, which base_solutions also returns."""
+    unit = fundamental_unit(dprime).norm_one
+    found: dict[tuple[int, int], QuadraticInteger] = {}
+    for rep in base_solutions(dprime, t_value):
+        z = rep
+        for _ in itertools.count() if max_steps is None else range(max_steps):
+            if not within(z):
+                break
+            found.setdefault((abs(z.a), abs(z.b)), z)
+            z = z * unit
+    return list(found.values())
 
 
 def enumerate_solutions(
@@ -466,30 +447,32 @@ def enumerate_solutions(
     t_value: int,
     v_limit: int | None = None,
     u_bit_limit: int | None = None,
-    max_steps_per_class: int = 64,
-    max_period: int = DEFAULT_MAX_PERIOD,
-    reps: list[QuadraticInteger] | None = None,
+    max_steps_per_class: int | None = None,
 ) -> list[QuadraticInteger]:
-    """All solutions of u**2 - dprime*v**2 = t_value within the limits,
-    one per (|u|, |v|) pair, merged across classes in |u| order.
+    """All solutions of u**2 - dprime*v**2 = t_value with |v| <= v_limit
+    and |u| < 2**u_bit_limit, one per (|u|, |v|) pair, in |u| order; at
+    least one of the two limits is required.
 
-    Sign variants (+-u, +-v) are folded; consumers re-expand as needed.
-    Pass precomputed base-solution reps to skip the class search.
+    When t_value**2 < dprime, every solution with gcd(u, v) = g is g times
+    a convergent of sqrt(dprime) of norm t_value / g**2 (Lagrange), so one
+    walk of the convergents finds them all.  Otherwise each base-solution
+    class is walked by the norm-one unit, at most max_steps_per_class
+    elements per class when given.  Sign variants (+-u, +-v) are folded;
+    consumers re-expand as needed.
     """
-    if reps is None:
-        reps = base_solutions(dprime, t_value, max_period)
-    if not reps:
-        return []
-    unit = fundamental_unit(dprime, max_period).norm_one
-    walks = [
-        _class_walk(rep, unit, v_limit, u_bit_limit, max_steps_per_class) for rep in reps
-    ]
-    merged = heapq.merge(*walks, key=lambda z: abs(z.a))
-    out: list[QuadraticInteger] = []
-    seen: set[tuple[int, int]] = set()
-    for z in merged:
-        key = (abs(z.a), abs(z.b))
-        if key not in seen:
-            seen.add(key)
-            out.append(z)
-    return out
+    _require_nonsquare(dprime)
+    if t_value == 0:
+        raise ValueError("T must be nonzero")
+    if v_limit is None and u_bit_limit is None:
+        raise ValueError("enumerate_solutions needs v_limit or u_bit_limit")
+
+    def within(z: QuadraticInteger) -> bool:
+        return (v_limit is None or abs(z.b) <= v_limit) and (
+            u_bit_limit is None or abs(z.a).bit_length() <= u_bit_limit
+        )
+
+    if t_value * t_value < dprime:
+        found = _convergent_solutions(dprime, t_value, within)
+    else:
+        found = _class_solutions(dprime, t_value, within, max_steps_per_class)
+    return sorted(found, key=lambda z: abs(z.a))

@@ -31,7 +31,6 @@ class SearchConfig:
     q_bits_min: int = 1
     q_bits_max: int = 10**6
     max_u_bits: int = 128
-    max_solutions_per_d: int = 64
     max_records: int = 10**6
 
     def __post_init__(self):
@@ -39,8 +38,8 @@ class SearchConfig:
             raise ValueError("max_u_bits must be at least 16")
         if self.q_bits_min > self.q_bits_max or self.q_bits_min < 1:
             raise ValueError("invalid q-bits range")
-        if self.max_records < 1 or self.max_solutions_per_d < 1:
-            raise ValueError("record and solution caps must be positive")
+        if self.max_records < 1:
+            raise ValueError("the record cap must be positive")
 
     def q_bits_ok(self, q: int) -> bool:
         return self.q_bits_min <= q.bit_length() <= self.q_bits_max
@@ -103,22 +102,20 @@ def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator
                 yield d_value
 
 
-def quadratic_points(f: IntPoly, d_value: int, u_bits: int, steps: int) -> list[tuple[int, int]]:
+def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, int]]:
     """Integer points (x, y), y >= 0, on D y**2 = f(x) for quadratic f.
 
     reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry.
     The middle coefficient b of f = 4q - t**2 is even, so every admissible
     (u, v) is even: the points come from (u/2)**2 - D' (v/2)**2 = T/4, in
-    order of |u/2| < 2**u_bits, at most `steps` elements per solution
-    class.  Raises ValueError when D gives no real quadratic order and
-    CapacityError when the base-solution search passes its cap."""
+    order of |u/2| < 2**u_bits, the only bound.  Raises ValueError when D
+    gives no real quadratic order and CapacityError when the continued
+    fraction of sqrt(D') passes its period cap."""
     if f.degree != 2 or f.coefficient(1) % 2:
         raise ValueError(f"f = {f} is not quadratic with an even middle coefficient")
     reduction = reduce_quadratic(f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value)
     problem = reduction.problem
-    halves = enumerate_solutions(
-        problem.dprime, problem.t_value // 4, u_bit_limit=u_bits, max_steps_per_class=steps
-    )
+    halves = enumerate_solutions(problem.dprime, problem.t_value // 4, u_bit_limit=u_bits)
     points = []
     for z in halves:
         v = 2 * abs(z.b)
@@ -140,9 +137,7 @@ def _candidates(
         return
     for d_value in _discriminants(family, config.d_min, config.d_max):
         try:
-            points = quadratic_points(
-                family.f, d_value, config.max_u_bits, config.max_solutions_per_d
-            )
+            points = quadratic_points(family.f, d_value, config.max_u_bits)
         except (ValueError, CapacityError) as exc:
             _progress(f"D={d_value}, skipped: {exc}")
             continue

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pforge
 
@@ -329,6 +334,80 @@ _PUBLISHED_149_ARGS = [
 ]
 
 
+_SMALL = st.integers(min_value=-3, max_value=40).map(str)
+_PRIMES = st.sampled_from(["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37"])
+_FAMILIES = st.sampled_from(
+    ["freeman10", "mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-", "bn12", "nosuch"]
+)
+_POLYS = st.sampled_from(
+    ["x", "x+1", "2x+1", "-6x-1", "x^2+1", "6x^2+1", "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1",
+     "0", "1", "(x", "x^"]
+)
+# Each subcommand's flags with the values drawn for them; None marks a switch.
+_FLAGS = {
+    "search": {
+        "--family": _FAMILIES, "--d-min": _SMALL, "--d-max": _SMALL, "--x-min": _SMALL,
+        "--x-max": _SMALL, "--q-bits": st.sampled_from(["1..64", "8..16", "5..3", "0..4", "x"]),
+        "--max-u-bits": st.sampled_from(["-1", "0", "15", "16", "40"]), "--max-records": _SMALL,
+    },
+    "verify": {
+        "--q": _PRIMES | _SMALL, "--n": _PRIMES | _SMALL, "--k": _SMALL, "--t": _SMALL,
+        "--d": _SMALL, "--x": _SMALL, "--a": _SMALL, "--b": _SMALL, "--family": _FAMILIES,
+        "--trials": st.sampled_from(["-1", "0", "1", "2"]), "--seed": _SMALL,
+    },
+    "analyze": {"--t": _POLYS, "--n": _POLYS, "--q": _POLYS, "--k": _SMALL, "--d": _SMALL},
+    "pell": {
+        "--dprime": _SMALL, "--t": _SMALL, "--count": st.sampled_from(["-3", "0", "1", "5"]),
+        "--mod-u": st.sampled_from(["3,1", "0,1", "2,x"]), "--mod-v": st.sampled_from(["2,0", "-1,0"]),
+        "--max-u-bits": st.sampled_from(["-1", "0", "16", "64"]), "--fundamental-unit": None,
+    },
+    "families": {},
+}
+_FIELD_VALUES = (
+    _SMALL | _PRIMES | st.integers(min_value=-3, max_value=40)
+    | st.sampled_from([None, True, 1.5, [1], "x", "", "PRIME_OK", "REJECTED(x)", "bogus"])
+)
+_RECORD_LINES = st.lists(
+    st.dictionaries(
+        st.sampled_from(["k", "q", "n", "t", "d", "x0", "a", "b", "status"]), _FIELD_VALUES
+    ).map(json.dumps)
+    | st.sampled_from(["[1]", "{", "null", ""]),
+    max_size=3,
+)
+
+
+_REQUIRED = {
+    "search": ["--family"], "verify": ["--q", "--n", "--k"], "analyze": ["--t", "--n", "--k"],
+    "pell": ["--dprime", "--t"], "families": [],
+}
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(argv, record lines or None): a subcommand, mostly with the flags it
+    needs, some of its other flags, all with small values, and now and then
+    a stray token.  For verify, half the time record lines to pass through
+    --in, with only the flags that apply to records."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    required = _REQUIRED[command] if draw(st.integers(0, 9)) else []
+    lines = None
+    if command == "verify" and draw(st.booleans()):
+        lines = draw(_RECORD_LINES)
+        flags = {name: flags[name] for name in ("--family", "--trials", "--seed")}
+        required = []
+    optional = sorted(set(flags) - set(required))
+    chosen = required + (draw(st.lists(st.sampled_from(optional), unique=True)) if optional else [])
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(["--bogus", "7", "--q", "--in"])))
+    return argv, lines
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize(
         "argv, record_line, code",
@@ -349,12 +428,18 @@ class TestExitCodeContract:
              EXIT_USAGE),
             (_PUBLISHED_149_ARGS + ["--trials", "0"], None, EXIT_USAGE),
             (_PUBLISHED_149_ARGS + ["--trials", "-1"], None, EXIT_USAGE),
+            (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "0"], None, EXIT_USAGE),
+            (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "-11"], None, EXIT_USAGE),
+            (["verify", "--in"], '{"k": "2", "q": "5", "n": "3", "d": "0"}', EXIT_USAGE),
+            (["pell", "--dprime", "5", "--t", "4", "--count", "0"], None, EXIT_USAGE),
+            (["pell", "--dprime", "5", "--t", "4", "--count", "-3"], None, EXIT_USAGE),
         ],
         ids=[
             "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
             "record-k-zero", "inline-k-zero", "inline-k-negative", "trials-zero",
-            "trials-negative",
+            "trials-negative", "inline-d-zero", "inline-d-negative", "record-d-zero",
+            "pell-count-zero", "pell-count-negative",
         ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):
@@ -370,6 +455,27 @@ class TestExitCodeContract:
         else:
             status = json.loads(proc.stdout)["status"]
             assert status.startswith("REJECTED(group order check: ")
+
+    @given(case=_cli_inputs())
+    @example(case=(["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "0"], None))
+    @example(case=(["verify"], ['{"k": "2", "q": "5", "n": "3", "d": "0"}']))
+    @settings(max_examples=300, deadline=None)
+    def test_any_input_exits_with_a_contract_code(self, case):
+        """Argv drawn from the CLI's own vocabulary, with small values, and
+        JSON record lines for verify --in: main returns 0, 2, 3 or 4 and
+        never raises."""
+        argv, lines = case
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if lines is not None:
+                path = os.path.join(tmp, "records.jsonl")
+                with open(path, "w") as fh:
+                    fh.writelines(line + "\n" for line in lines)
+                argv = [argv[0], "--in", path, *argv[1:]]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_EMPTY, EXIT_VERIFY_FAILED), (argv, lines)
+        assert "Traceback" not in stderr.getvalue()
 
     def test_large_embedding_degree_decided_from_prime_factors(self):
         # q**(k/3) = 1 mod n, so the degree is below k; a scan over every

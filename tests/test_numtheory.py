@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from pforge.numtheory import (
     is_probable_prime,
     jacobi_symbol,
     mod_pow,
+    sqrt_mod,
     sqrt_mod_prime,
     squarefree_decompose,
 )
@@ -174,6 +176,28 @@ class TestSqrtModPrime:
         for a in (2, 3, 12345):
             r = sqrt_mod_prime(a * a % p, p)
             assert r is not None and r * r % p == a * a % p
+
+
+class TestSqrtMod:
+    @pytest.mark.parametrize("a", [*range(13), -1, -20, 645, 669, 24999045])
+    def test_every_modulus_against_scan(self, a):
+        """Every root modulo every m <= 2000, against a scan over [0, m):
+        covers prime powers of 2, odd primes dividing a (all-or-none lifts)
+        and the CRT over several primes."""
+        for m in range(1, 2001):
+            z = np.arange(m, dtype=np.int64)
+            expected = np.flatnonzero((z * z - a) % m == 0).tolist()
+            assert sqrt_mod(a, m) == expected, (a, m)
+
+    def test_large_prime_power(self):
+        roots = sqrt_mod(2, 17**7)
+        assert len(roots) == 2 and all((z * z - 2) % 17**7 == 0 for z in roots)
+
+    def test_modulus_checked(self):
+        with pytest.raises(ValueError):
+            sqrt_mod(1, 0)
+        with pytest.raises(ValueError):
+            sqrt_mod(1, (10**6 + 3) * (10**6 + 33))  # does not factor completely
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from pforge.errors import CapacityError, ContractError
 from pforge.pell import (
     PellProblem,
     QuadraticInteger,
+    _pqa,
     base_solutions,
     canonical_representative,
     congruence_unit,
@@ -103,6 +106,28 @@ class TestContinuedFraction:
         assert all(e <= 3 for e in errors)
 
 
+class TestPQa:
+    def test_partial_quotients_and_norm_identity(self):
+        """a_i = floor((P_i + sqrt(D')) / Q_i) against a 60-digit square
+        root, and G_{i-1}**2 - D' B_{i-1}**2 = (-1)**i Q_i Q_0, from starts
+        with Q_0 of both signs; the walks meet negative Q_i."""
+        negative_q = 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for dprime in (2, 3, 13, 129, 645, 669, 1000020):
+                root = Decimal(dprime).sqrt()
+                for q0 in (-20, -7, -2, 1, 3, 8, 20, 384):
+                    for p0 in range(-abs(q0), abs(q0) + 1):
+                        if (dprime - p0 * p0) % q0:
+                            continue
+                        for i, (a, p, q, g, b) in zip(range(40), _pqa(p0, q0, dprime)):
+                            exact = ((p + root) / q).to_integral_value(rounding=ROUND_FLOOR)
+                            assert a == int(exact), (dprime, p0, q0, i)
+                            assert g * g - dprime * b * b == (-1) ** i * q * q0
+                            negative_q += q < 0
+        assert negative_q >= 50
+
+
 class TestFundamentalUnit:
     @pytest.mark.parametrize("dprime,expected", [(2, (3, 2)), (3, (2, 1)), (5, (9, 4))])
     def test_examples(self, dprime, expected):
@@ -149,6 +174,11 @@ class TestBaseSolutions:
         assert u0 * u0 - dprime * v0 * v0 == -20
         reps = base_solutions(dprime, -20)
         assert any(same_class(QuadraticInteger(u0, v0, dprime), rep, -20) for rep in reps)
+
+    def test_ambiguous_class_takes_positive_u(self):
+        # (24, 8) and (-24, 8) lie in one class of u^2 - 3v^2 = 384
+        assert same_class(QuadraticInteger(24, 8, 3), QuadraticInteger(-24, 8, 3), 384)
+        assert [z.pair() for z in base_solutions(3, 384)] == [(24, 8)]
 
     def test_zero_t_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +286,85 @@ class TestEnumeration:
         deep = QuadraticInteger(3, 2, 2) ** 5  # far along the unit orbit
         rep = canonical_representative(deep, unit)
         assert rep.pair() == (1, 0)
+
+
+# D' > 10**6 built as u**2 - T so that each T has a solution of about 10 bits
+LAGRANGE_DPRIMES = [
+    2, 3, 13, 61, 409, 645, 1021, 4219,
+    1000020, 1002006, 1004000, 1006010, 1008015, 15 * EXAMPLE_149.d,
+]
+
+
+def scan_solutions(dprime, t_values, bits):
+    """{T: every (u >= 0, v >= 0) with u**2 - dprime*v**2 = T, u < 2**bits}
+    for |T| <= 20: |u - v sqrt(dprime)| = |T| / (u + v sqrt(dprime)), so a
+    float64 pass over every v in range keeps each v within 21 / (v
+    sqrt(dprime)) of an integer, and those v are checked exactly."""
+    v = np.arange(1, math.isqrt((1 << 2 * bits) // dprime) + 2, dtype=np.float64)
+    s = v * math.sqrt(dprime)
+    near = np.flatnonzero(np.abs(s - np.rint(s)) <= 21 / s + 1e-5) + 1
+    out = {t_value: set() for t_value in t_values}
+    for vi in [0, *near.tolist()]:
+        for t_value in t_values:
+            usq = dprime * vi * vi + t_value
+            u = math.isqrt(max(usq, 0))
+            if u * u == usq and u.bit_length() <= bits:
+                out[t_value].add((u, vi))
+    return out
+
+
+class TestLagrangeEnumeration:
+    @pytest.mark.parametrize("bits", [16, 24, 32])
+    def test_against_exhaustive_scan(self, bits):
+        """T**2 < D': every solution read off the convergent walk, and only
+        those, against a scan of every v below the u-bits bound."""
+        checked = 0
+        for dprime in LAGRANGE_DPRIMES:
+            if (1 << bits) > 5 * 10**6 * math.isqrt(dprime):
+                continue  # more than 5 * 10**6 values of v to scan
+            t_values = [t for t in (1, -1, 4, -5, -20) if t * t < dprime]
+            expected = scan_solutions(dprime, t_values, bits)
+            for t_value in t_values:
+                got = [
+                    (abs(z.a), abs(z.b))
+                    for z in enumerate_solutions(dprime, t_value, u_bit_limit=bits)
+                ]
+                assert [u for u, _ in got] == sorted(u for u, _ in got)
+                assert len(set(got)) == len(got)
+                assert set(got) == expected[t_value], (dprime, t_value)
+                checked += 1
+        assert checked >= 20
+
+    def test_limit_required(self):
+        with pytest.raises(ValueError):
+            enumerate_solutions(645, -20)
+
+
+class TestBaseSolutionsOracle:
+    # sympy 1.14's diop_DN takes about 45 ms per call for these T on a 2-vCPU
+    # Xeon host, so they run on a fixed sample of D'; T in (-8, 12, 1, -1)
+    # runs on every D' <= 1000
+    SLOW_T = (-32, -20, 45, 96, 384)
+    SAMPLE = [*range(2, 1001, 53), 109, 181, 241, 277, 313, 669, 991, 997]
+
+    @pytest.mark.parametrize("t_value", [-32, -8, 12, 45, 96, 384, -20, 1, -1])
+    def test_against_diop_dn(self, t_value):
+        """Each class base_solutions returns holds exactly one of diop_DN's
+        fundamental solutions, and there are as many classes as those."""
+        pytest.importorskip("sympy")
+        from sympy.solvers.diophantine.diophantine import diop_DN
+
+        dprimes = self.SAMPLE if t_value in self.SLOW_T else range(2, 1001)
+        for dprime in dprimes:
+            if math.isqrt(dprime) ** 2 == dprime:
+                continue
+            reps = base_solutions(dprime, t_value)
+            assert all(r.norm() == t_value for r in reps)
+            expected = diop_DN(dprime, t_value)
+            for x, y in expected:
+                z = QuadraticInteger(x, y, dprime)
+                assert sum(same_class(z, r, t_value) for r in reps) == 1, (dprime, t_value, (x, y))
+            assert len(reps) == len(expected), (dprime, t_value)
 
 
 class TestReduction:

@@ -163,7 +163,7 @@ class TestSearchBN12:
 
 class TestSearchMNT:
     def test_mnt6_d19(self):
-        config = SearchConfig(family="mnt6+", d_min=19, d_max=19, max_solutions_per_d=32)
+        config = SearchConfig(family="mnt6+", d_min=19, d_max=19)
         records = run_search(config)
         assert any((r.x0, r.q, r.n) == (-1, 5, 7) for r in records)
 
@@ -230,7 +230,7 @@ class TestSearchMNT:
                     y = math.isqrt(f_v // d_value)
                     if y * y == f_v // d_value:
                         scan.add((x, y))
-            points = quadratic_points(f, d_value, u_bits=40, steps=4096)
+            points = quadratic_points(f, d_value, u_bits=40)
             assert all(d_value * y * y == f.evaluate(x) and y >= 0 for x, y in points)
             assert len(set(points)) == len(points)
             assert scan <= set(points), (name, d_value, scan - set(points))
