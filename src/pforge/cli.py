@@ -186,10 +186,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_u_bits=args.max_u_bits,
         max_records=args.max_records,
     )
-    configs = split_search(config, args.workers)
+    configs = split_search(config, _at_least_one("--workers", args.workers))
 
     if len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # a pool that forks starts all of its processes at the first submit
+        workers = min(len(configs), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = [record for batch in pool.map(run_search, configs) for record in batch]
     else:
         records = run_search(config)
@@ -233,19 +235,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _at_least_one("--trials", args.trials)
     records: list[CurveRecord] = []
     if args.in_path:
-        try:
-            with open(args.in_path) as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        records.append(parse_record_line(line).record)
-                    except (ValueError, KeyError) as exc:
-                        print(f"error: line {lineno}: {exc}", file=sys.stderr)
-                        return EXIT_USAGE
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(args.in_path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(parse_record_line(line).record)
+                except (ValueError, KeyError) as exc:
+                    print(f"error: line {lineno}: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
     else:
         if args.q is None or args.n is None or args.k is None:
             print("error: inline verification needs --q, --n and --k", file=sys.stderr)
@@ -446,9 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, KeyError, ContractError, CapacityError) as exc:
+    except (ValueError, KeyError, ContractError, CapacityError, OSError) as exc:
         # invalid input found below the argument parser: an unknown family,
-        # an out-of-domain value, a violated precondition, a resource cap
+        # an out-of-domain value, a violated precondition, a resource cap,
+        # a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

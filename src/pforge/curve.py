@@ -1,8 +1,8 @@
 """Short-Weierstrass arithmetic over prime fields and curve-record
 verification: primality, Hasse, ordinarity, the CM equation
 D*y**2 = 4q - t**2, exact embedding degree, and probabilistic group-order
-confirmation.  Single additions are affine; scalar multiplication runs in
-Jacobian coordinates, one inversion per product."""
+confirmation.  One group law: additions and scalar multiplication run
+on Jacobian formulas, with one inversion per sum or product."""
 
 from __future__ import annotations
 
@@ -73,31 +73,6 @@ def is_on_curve(point: Point, curve: Curve) -> bool:
     return (y * y - (x * x * x + a * x + b)) % q == 0
 
 
-def _add(p1: Point, p2: Point, curve: Curve) -> Point:
-    q, a, _ = curve
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2 and (y1 + y2) % q == 0:
-        return INFINITY
-    if p1 == p2:
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, q - 2, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, q - 2, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    y3 = (lam * (x1 - x3) - y1) % q
-    return (x3, y3)
-
-
-def add_points(p1: Point, p2: Point, curve: Curve) -> Point:
-    if not is_on_curve(p1, curve) or not is_on_curve(p2, curve):
-        raise ContractError("point not on curve")
-    return _add(p1, p2, curve)
-
-
 def negate_point(point: Point, curve: Curve) -> Point:
     if point is None:
         return None
@@ -146,6 +121,28 @@ def _jacobian_add_affine(
     return x3, y3, z1 * h % q
 
 
+def _to_affine(point: JacobianPoint, q: int) -> Point:
+    x, y, z = point
+    if z == 0:
+        return INFINITY
+    zinv = pow(z, -1, q)
+    zinv2 = zinv * zinv % q
+    return (x * zinv2 % q, y * zinv2 * zinv % q)
+
+
+def add_points(p1: Point, p2: Point, curve: Curve) -> Point:
+    """P1 + P2 by the mixed Jacobian + affine addition that scalar_multiply
+    runs, with P1 lifted to Z = 1, and one inversion back to affine."""
+    if not is_on_curve(p1, curve) or not is_on_curve(p2, curve):
+        raise ContractError("point not on curve")
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    q, a, _ = curve
+    return _to_affine(_jacobian_add_affine(*p1, 1, *p2, a, q), q)
+
+
 def scalar_multiply(point: Point, m: int, curve: Curve) -> Point:
     """[m]P by left-to-right double-and-add in Jacobian coordinates, one
     inversion: the ladder adds the affine P to a Jacobian accumulator and
@@ -163,12 +160,7 @@ def scalar_multiply(point: Point, m: int, curve: Curve) -> Point:
         acc = _jacobian_double(*acc, a, q)
         if bit == "1":
             acc = _jacobian_add_affine(*acc, x, y, a, q)
-    x3, y3, z3 = acc
-    if z3 == 0:
-        return INFINITY
-    zinv = pow(z3, -1, q)
-    zinv2 = zinv * zinv % q
-    return (x3 * zinv2 % q, y3 * zinv2 * zinv % q)
+    return _to_affine(acc, q)
 
 
 def random_point(curve: Curve, rng: random.Random) -> Point:
@@ -251,14 +243,18 @@ def verify_record(
 
     Reaches CURVE_VERIFIED when curve coefficients are present and the
     group order confirms; PRIME_OK when all coefficient-free checks pass.
+    This is the only PRIME_OK gate: search candidates come through it via
+    families.instantiate.  A composite q or n is named q(x0) / n(x0) when
+    the record carries x0.
     """
     q, n, t = record.q, record.n, record.t
     if n != q + 1 - t:
         return record.rejected(f"n != q + 1 - t (t = {t})")
+    at_x0 = "" if record.x0 is None else f"({record.x0})"
     if not is_probable_prime(q):
-        return record.rejected("q is not prime")
+        return record.rejected(f"q{at_x0} is not prime")
     if not is_probable_prime(n):
-        return record.rejected("n is not prime")
+        return record.rejected(f"n{at_x0} is not prime")
     if q == n:
         return record.rejected("degenerate: q == n")
     f = 4 * q - t * t

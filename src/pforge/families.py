@@ -11,15 +11,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .curve import CurveRecord, RecordStatus, is_exact_embedding_degree
+from .curve import CurveRecord, verify_record
 from .intpoly import IntPoly, classify_square_part, cyclotomic, divides, parse_poly
-from .numtheory import (
-    euler_phi,
-    integer_sqrt,
-    is_perfect_square,
-    is_probable_prime,
-    squarefree_decompose,
-)
+from .numtheory import euler_phi, is_perfect_square, squarefree_decompose
 
 FACTOR_SEARCH_CAP = 10**6
 
@@ -308,56 +302,38 @@ def analyze_feasibility(t: IntPoly, n: IntPoly, k: int) -> FeasibilityReport:
 
 
 def filter_discriminant_k10(d_value: int) -> FilterDecision:
-    """Cheap k=10 discriminant sieve: D = 43 or 67 mod 120, coprime to 15,
-    and 15D square-free (unverifiable square-freeness rejects)."""
+    """Cheap k=10 discriminant sieve: D in freeman10's catalog classes
+    (43 or 67 mod 120, all coprime to 15, so 15D is square-free when D
+    is) and D square-free; unverifiable square-freeness rejects."""
     if d_value < 1:
         return FilterDecision(False, "D must be positive")
-    if d_value % 120 not in (43, 67):
-        return FilterDecision(False, f"D mod 120 = {d_value % 120}, not 43 or 67")
-    if math.gcd(d_value, 15) != 1:
-        return FilterDecision(False, "gcd(D, 15) > 1")
-    squarefree, square, complete = squarefree_decompose(15 * d_value)
+    modulus, residues = family_by_name("freeman10").d_residues
+    if d_value % modulus not in residues:
+        allowed = " or ".join(map(str, residues))
+        return FilterDecision(False, f"D mod {modulus} = {d_value % modulus}, not {allowed}")
+    _, square, complete = squarefree_decompose(d_value)
     if not complete:
-        return FilterDecision(False, "square-freeness of 15D could not be verified")
+        return FilterDecision(False, "square-freeness of D could not be verified")
     if square != 1:
-        return FilterDecision(False, "15D is not square-free")
+        return FilterDecision(False, "D is not square-free")
     return FilterDecision(True, None)
 
 
 def instantiate(
     family: FamilyDescriptor, x0: int, d_value: int | None = None
 ) -> CurveRecord:
-    """Evaluate the family at x0 and gate on primality, the CM equation and
-    the embedding degree.
-
-    Returns a PRIME_OK record, or a REJECTED one naming the first failed
-    check.  The embedding degree must be exactly k: at a small x0, n can
-    divide q**d - 1 for a proper divisor d of k."""
+    """Evaluate the family at x0 (D defaults to the family's fixed D) and
+    return verify_record's verdict on the record: PRIME_OK, or REJECTED
+    naming the first failed check.  The embedding degree must be exactly
+    k: at a small x0, n can divide q**d - 1 for a proper divisor d of k."""
     if d_value is None:
         d_value = family.fixed_d
-    q_v = family.q.evaluate(x0)
-    n_v = family.n.evaluate(x0)
-    t_v = family.t.evaluate(x0)
-    record = CurveRecord(k=family.k, q=q_v, n=n_v, t=t_v, d=d_value, x0=x0)
-    assert n_v == q_v + 1 - t_v
-    f_v = 4 * q_v - t_v * t_v
-    if f_v <= 0:
-        return record.rejected("Hasse bound violated: 4q - t^2 <= 0")
-    if not is_probable_prime(q_v):
-        return record.rejected(f"q({x0}) is not prime")
-    if not is_probable_prime(n_v):
-        return record.rejected(f"n({x0}) is not prime")
-    if q_v == n_v:
-        return record.rejected("degenerate: q(x0) == n(x0)")
-    if math.gcd(t_v, q_v) != 1:
-        return record.rejected("curve not ordinary: gcd(t, q) > 1")
-    if d_value is not None:
-        quot, rem = divmod(f_v, d_value)
-        if rem != 0:
-            return record.rejected(f"CM equation: {d_value} does not divide f({x0})")
-        _, exact = integer_sqrt(quot)
-        if not exact:
-            return record.rejected(f"CM equation: f({x0}) / D is not a perfect square")
-    if not is_exact_embedding_degree(q_v, n_v, family.k):
-        return record.rejected(f"embedding degree is not exactly {family.k}")
-    return record.with_status(RecordStatus.PRIME_OK)
+    record = CurveRecord(
+        k=family.k,
+        q=family.q.evaluate(x0),
+        n=family.n.evaluate(x0),
+        t=family.t.evaluate(x0),
+        d=d_value,
+        x0=x0,
+    )
+    return verify_record(record)

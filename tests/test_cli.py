@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import pforge
 
+from pforge import cli
 from pforge.cli import (
     EXIT_EMPTY,
     EXIT_OK,
@@ -143,6 +144,45 @@ class TestSearchCommand:
             assert main(["search", *family_args, "--workers", workers, "--out", str(out)]) == EXIT_OK
             outputs.append(_records_without_provenance(out))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize(
+        "family_args, cpus, pool_size",
+        [
+            (["--family", "mnt6+", "--d-min", "1", "--d-max", "2"], 64, 2),
+            (["--family", "mnt6+", "--d-min", "1", "--d-max", "120"], 3, 3),
+            (["--family", "bn12", "--x-min", "0", "--x-max", "40"], None, 1),
+        ],
+        ids=["two-d-values", "capped-by-cpus", "cpu-count-unknown"],
+    )
+    def test_pool_size_is_bounded_by_work_and_cpus(
+        self, tmp_path, monkeypatch, family_args, cpus, pool_size
+    ):
+        """--workers 64 starts no more processes than there are chunks of
+        work or CPUs; the fake pool maps in-process, so nothing is forked."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("pforge.cli.os.cpu_count", lambda: cpus)
+        out_one, out_many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
+        assert main(["search", *family_args, "--out", str(out_one)]) in (EXIT_OK, EXIT_EMPTY)
+        assert not sizes
+        code = main(["search", *family_args, "--workers", "64", "--out", str(out_many)])
+        assert code in (EXIT_OK, EXIT_EMPTY)
+        assert sizes == [pool_size]
+        assert _records_without_provenance(out_many) == _records_without_provenance(out_one)
 
     def test_pinned_search_reproduces_published_record(self, tmp_path):
         out = tmp_path / "pinned.jsonl"
@@ -433,13 +473,20 @@ class TestExitCodeContract:
             (["verify", "--in"], '{"k": "2", "q": "5", "n": "3", "d": "0"}', EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "0"], None, EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "-3"], None, EXIT_USAGE),
+            (["search", "--family", "bn12", "--x-min", "1", "--x-max", "3",
+              "--out", "/nonexistent/x.jsonl"], None, EXIT_USAGE),
+            (["verify", "--q", "5", "--n", "3", "--k", "2", "--out", "/nonexistent/y.jsonl"],
+             None, EXIT_USAGE),
+            (["search", "--family", "bn12", "--x-max", "3", "--workers", "0"], None, EXIT_USAGE),
+            (["search", "--family", "bn12", "--x-max", "3", "--workers", "-2"], None, EXIT_USAGE),
         ],
         ids=[
             "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
             "record-k-zero", "inline-k-zero", "inline-k-negative", "trials-zero",
             "trials-negative", "inline-d-zero", "inline-d-negative", "record-d-zero",
-            "pell-count-zero", "pell-count-negative",
+            "pell-count-zero", "pell-count-negative", "search-out-missing-dir",
+            "verify-out-missing-dir", "workers-zero", "workers-negative",
         ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):

@@ -293,3 +293,28 @@ class TestVerifyRecord:
         assert record.status is RecordStatus.REJECTED  # n = 8 not prime anyway
         record = verify_record(CurveRecord(k=4, q=3, n=3, t=1))
         assert record.status is RecordStatus.REJECTED
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            (dict(k=2, q=5, n=3, t=5), "n != q + 1 - t (t = 5)"),
+            (dict(k=2, q=9, n=7, t=3), "q is not prime"),
+            (dict(k=2, q=9, n=7, t=3, x0=4), "q(4) is not prime"),
+            (dict(k=2, q=7, n=9, t=-1), "n is not prime"),
+            (dict(k=2, q=7, n=9, t=-1, x0=-3), "n(-3) is not prime"),
+            (dict(k=1, q=5, n=5, t=1), "degenerate: q == n"),
+            (dict(k=1, q=5, n=13, t=-7), "Hasse bound violated"),
+            (dict(k=2, q=2, n=3, t=0), "curve not ordinary: gcd(t, q) > 1"),
+            (dict(k=2, q=5, n=3, t=3, d=3), "CM equation: 3 does not divide 4q - t^2"),
+            (dict(k=4, q=7, n=5, t=3, d=1), "CM equation: (4q - t^2) / D is not a square"),
+            (dict(k=4, q=5, n=3, t=3, d=11), "embedding degree is not exactly 4"),
+        ],
+        ids=[
+            "relation", "q-composite", "q-composite-at-x0", "n-composite", "n-composite-at-x0",
+            "degenerate", "hasse", "ordinary", "cm-divides", "cm-square", "exact-degree",
+        ],
+    )
+    def test_each_check_names_its_failure(self, fields, reason):
+        """Each record fails exactly one check, so dropping any check from
+        verify_record changes its verdict."""
+        assert verify_record(CurveRecord(**fields)).reason == reason

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from pforge import families
-from pforge.curve import RecordStatus
+from pforge.curve import RecordStatus, verify_record
 from pforge.families import (
     _catalog,
     FamilyClassification,
@@ -234,6 +235,21 @@ class TestInstantiate:
         assert (record.q, record.n, record.t) == (283, 251, 33)
         assert record.n == record.q + 1 - record.t
         assert record.t * record.t <= 4 * record.q  # Hasse
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_search_and_verify_agree(self, name):
+        """instantiate (every search candidate) and verify_record give the
+        same whole record, reason text included, for any x and D."""
+        fam = family_by_name(name)
+        d_values = [fam.fixed_d] if fam.fixed_d is not None else [43, 44, 1666603]
+        statuses = set()
+        for d_value in d_values:
+            for x0 in range(-60, 61):
+                record = instantiate(fam, x0, d_value)
+                pending = replace(record, status=RecordStatus.PENDING, reason=None)
+                assert verify_record(pending) == record, (x0, d_value)
+                statuses.add(record.status)
+        assert statuses == {RecordStatus.PRIME_OK, RecordStatus.REJECTED}
 
     def test_freeman_x0_zero_rejected(self):
         fam = family_by_name("freeman10")
