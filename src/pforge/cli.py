@@ -10,7 +10,6 @@ import concurrent.futures
 import hashlib
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -25,7 +24,7 @@ from .families import (
     family_by_name,
     verify_family,
 )
-from .intpoly import IntPoly, PolyParseError, parse_poly
+from .intpoly import IntPoly, parse_poly
 from .pell import PellProblem, base_solutions, enumerate_solutions, fundamental_unit
 from .search import SearchConfig, quadratic_points, recover_x_from_q, run_search, split_search
 
@@ -156,11 +155,6 @@ def _modulus_pair(text: str) -> tuple[int, int]:
     return mod, res
 
 
-def _effective_seed(seed: int) -> int:
-    env = os.environ.get("PFORGE_SEED")
-    return int(env) if env else seed
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -230,9 +224,7 @@ def _family_consistency(record: CurveRecord, family_name: str) -> CurveRecord:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.in_path and args.q is not None:
-        print("error: --in and inline values are mutually exclusive", file=sys.stderr)
-        return EXIT_USAGE
-    _at_least_one("--trials", args.trials)
+        raise ValueError("--in and inline values are mutually exclusive")
     records: list[CurveRecord] = []
     if args.in_path:
         with open(args.in_path) as fh:
@@ -246,13 +238,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     return EXIT_USAGE
     else:
         if args.q is None or args.n is None or args.k is None:
-            print("error: inline verification needs --q, --n and --k", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("inline verification needs --q, --n and --k")
         records.append(_inline_record(args))
     if not records:
         return EXIT_EMPTY
 
-    rng = random.Random(_effective_seed(args.seed))
     lines = []
     any_rejected = False
     provenance = _provenance(args)
@@ -262,7 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.family:
             record = _family_consistency(record, args.family)
         if record.status is not RecordStatus.REJECTED:
-            record = verify_record(record, trials=args.trials, rng=rng)
+            record = verify_record(record)
         any_rejected = any_rejected or record.status is RecordStatus.REJECTED
         lines.append(serialize_record(record, provenance))
     _emit(lines, args.out)
@@ -277,16 +267,11 @@ def _check_mark(flag: bool) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        t = parse_poly(args.t)
-        n = parse_poly(args.n)
-        q = parse_poly(args.q) if args.q else n + t - 1
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    t = parse_poly(args.t)
+    n = parse_poly(args.n)
+    q = parse_poly(args.q) if args.q else n + t - 1
     if n != q + 1 - t:
-        print("error: polynomials violate n = q + 1 - t", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("polynomials violate n = q + 1 - t")
 
     report = analyze_feasibility(t, n, args.k)
     outcome = verify_family(t, n, q, args.k)
@@ -341,8 +326,7 @@ def cmd_pell(args: argparse.Namespace) -> int:
     if args.fundamental_unit:
         return EXIT_OK
     if args.t is None:
-        print("error: --t is required unless --fundamental-unit is given", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--t is required unless --fundamental-unit is given")
 
     mod_u, res_u = args.mod_u if args.mod_u else (1, 0)
     mod_v, res_v = args.mod_v if args.mod_v else (1, 0)
@@ -393,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-records", type=int, default=10**6)
     sp.add_argument("--out", default=None)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_search)
 
     vp = sub.add_parser("verify", help="verify records or inline parameters")
@@ -407,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--a", type=int, default=None)
     vp.add_argument("--b", type=int, default=None)
     vp.add_argument("--family", default=None)
-    vp.add_argument("--trials", type=int, default=5)
-    vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out", default=None)
     vp.set_defaults(func=cmd_verify)
 

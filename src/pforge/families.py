@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .curve import CurveRecord, verify_record
 from .intpoly import IntPoly, classify_square_part, cyclotomic, divides, parse_poly
-from .numtheory import euler_phi, is_perfect_square, squarefree_decompose
+from .numtheory import euler_phi, factorize, is_perfect_square, squarefree_decompose
 
 FACTOR_SEARCH_CAP = 10**6
 
@@ -68,9 +68,7 @@ def compute_f(t: IntPoly, q: IntPoly) -> IntPoly:
 
 def _divisors_of(m: int) -> list[int] | None:
     """All positive divisors, or None when m does not factor completely."""
-    from .numtheory import factorize
-
-    fac = factorize(abs(m), FACTOR_SEARCH_CAP)
+    fac = factorize(abs(m))
     if not fac.complete:
         return None
     divs = [1]

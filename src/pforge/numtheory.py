@@ -2,8 +2,8 @@
 quadratic residues, integer roots, bounded factorization.
 
 Primality is probabilistic but conservative: trial division by all primes
-below 1000, then 40 Miller-Rabin rounds with bases drawn from a seedable
-generator, then one strong Lucas test (BPSW style).
+below 1000, then 40 Miller-Rabin rounds with bases derived from the
+input, then one strong Lucas test (BPSW style).
 """
 
 from __future__ import annotations
@@ -19,15 +19,6 @@ DEFAULT_FACTOR_BOUND = 10**6
 
 # Mixed into the per-input witness seed so results are reproducible run to run.
 _WITNESS_SEED = 0x5E3D_9A17
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, reduced into [0, modulus)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    return pow(base, exponent, modulus)
 
 
 @lru_cache(maxsize=8)
@@ -107,11 +98,11 @@ def _strong_lucas_probable_prime(m: int) -> bool:
     return False
 
 
-def is_probable_prime(m: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(m: int) -> bool:
     """Probabilistic primality: trial division, Miller-Rabin, strong Lucas.
 
-    With rng=None the Miller-Rabin bases are seeded from the input, so
-    repeated runs are reproducible.
+    The Miller-Rabin bases are drawn from a generator seeded with the
+    input, so a verdict is the same on every run.
     """
     if m < 2:
         return False
@@ -123,8 +114,7 @@ def is_probable_prime(m: int, rng: random.Random | None = None) -> bool:
     root, exact = integer_sqrt(m)
     if exact:
         return False
-    if rng is None:
-        rng = random.Random(_WITNESS_SEED ^ (m % (1 << 64)))
+    rng = random.Random(_WITNESS_SEED ^ (m % (1 << 64)))
     for _ in range(MILLER_RABIN_ROUNDS):
         base = rng.randrange(2, m - 1)
         if _miller_rabin_witness(m, base):
@@ -313,7 +303,7 @@ def squarefree_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int
 def euler_phi(k: int) -> int:
     if k < 1:
         raise ValueError(f"euler_phi needs k >= 1, got {k}")
-    fac = factorize(k, bound=max(math.isqrt(k) + 1, 100))
+    fac = factorize(k)
     if not fac.complete:
         raise ValueError(f"could not fully factor {k}")
     out = 1

@@ -349,16 +349,6 @@ class TestPellCommand:
         assert main(["pell", "--dprime", "3", "--t", "-1"]) == EXIT_EMPTY
 
 
-class TestSeedOverride:
-    def test_env_seed_wins(self, monkeypatch):
-        from pforge.cli import _effective_seed
-
-        monkeypatch.setenv("PFORGE_SEED", "99")
-        assert _effective_seed(5) == 99
-        monkeypatch.delenv("PFORGE_SEED")
-        assert _effective_seed(5) == 5
-
-
 def _run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(pforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -368,14 +358,12 @@ def _run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
     )
 
 
-_PUBLISHED_149_ARGS = [
-    "verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "10",
-    "--a", str(EXAMPLE_149.a), "--b", str(EXAMPLE_149.b),
-]
-
-
 _SMALL = st.integers(min_value=-3, max_value=40).map(str)
 _PRIMES = st.sampled_from(["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37"])
+# Large values for flags and fields that name a number, not a range or a
+# size: two primes, and a product of three primes above 10**6 that
+# factorize's trial division cannot split.
+_WIDE = st.sampled_from([10**24 + 7, 2**127 - 1, 999999999989 * 1000003 * 1000033]).map(str)
 _FAMILIES = st.sampled_from(
     ["freeman10", "mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-", "bn12", "nosuch"]
 )
@@ -391,11 +379,11 @@ _FLAGS = {
         "--max-u-bits": st.sampled_from(["-1", "0", "15", "16", "40"]), "--max-records": _SMALL,
     },
     "verify": {
-        "--q": _PRIMES | _SMALL, "--n": _PRIMES | _SMALL, "--k": _SMALL, "--t": _SMALL,
+        "--q": _PRIMES | _SMALL | _WIDE, "--n": _PRIMES | _SMALL | _WIDE,
+        "--k": _SMALL | _WIDE, "--t": _SMALL,
         "--d": _SMALL, "--x": _SMALL, "--a": _SMALL, "--b": _SMALL, "--family": _FAMILIES,
-        "--trials": st.sampled_from(["-1", "0", "1", "2"]), "--seed": _SMALL,
     },
-    "analyze": {"--t": _POLYS, "--n": _POLYS, "--q": _POLYS, "--k": _SMALL, "--d": _SMALL},
+    "analyze": {"--t": _POLYS, "--n": _POLYS, "--q": _POLYS, "--k": _SMALL | _WIDE, "--d": _SMALL},
     "pell": {
         "--dprime": _SMALL, "--t": _SMALL, "--count": st.sampled_from(["-3", "0", "1", "5"]),
         "--mod-u": st.sampled_from(["3,1", "0,1", "2,x"]), "--mod-v": st.sampled_from(["2,0", "-1,0"]),
@@ -408,8 +396,13 @@ _FIELD_VALUES = (
     | st.sampled_from([None, True, 1.5, [1], "x", "", "PRIME_OK", "REJECTED(x)", "bogus"])
 )
 _RECORD_LINES = st.lists(
-    st.dictionaries(
-        st.sampled_from(["k", "q", "n", "t", "d", "x0", "a", "b", "status"]), _FIELD_VALUES
+    st.lists(
+        st.sampled_from(["k", "q", "n", "t", "d", "x0", "a", "b", "status"]), unique=True
+    ).flatmap(
+        lambda names: st.fixed_dictionaries(
+            {name: _FIELD_VALUES | _WIDE if name in ("k", "q", "n") else _FIELD_VALUES
+             for name in names}
+        )
     ).map(json.dumps)
     | st.sampled_from(["[1]", "{", "null", ""]),
     max_size=3,
@@ -425,8 +418,9 @@ _REQUIRED = {
 @st.composite
 def _cli_inputs(draw):
     """(argv, record lines or None): a subcommand, mostly with the flags it
-    needs, some of its other flags, all with small values, and now and then
-    a stray token.  For verify, half the time record lines to pass through
+    needs, some of its other flags, with small values or, for a flag that
+    names a number rather than a range or a size, a large one, and now and
+    then a stray token.  For verify, half the time record lines to pass through
     --in, with only the flags that apply to records."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = _FLAGS[command]
@@ -434,7 +428,7 @@ def _cli_inputs(draw):
     lines = None
     if command == "verify" and draw(st.booleans()):
         lines = draw(_RECORD_LINES)
-        flags = {name: flags[name] for name in ("--family", "--trials", "--seed")}
+        flags = {"--family": flags["--family"]}
         required = []
     optional = sorted(set(flags) - set(required))
     chosen = required + (draw(st.lists(st.sampled_from(optional), unique=True)) if optional else [])
@@ -466,8 +460,6 @@ class TestExitCodeContract:
              EXIT_USAGE),
             (["verify", "--q", str(EXAMPLE_149.q), "--n", str(EXAMPLE_149.n), "--k", "-10"], None,
              EXIT_USAGE),
-            (_PUBLISHED_149_ARGS + ["--trials", "0"], None, EXIT_USAGE),
-            (_PUBLISHED_149_ARGS + ["--trials", "-1"], None, EXIT_USAGE),
             (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "0"], None, EXIT_USAGE),
             (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "-11"], None, EXIT_USAGE),
             (["verify", "--in"], '{"k": "2", "q": "5", "n": "3", "d": "0"}', EXIT_USAGE),
@@ -479,14 +471,15 @@ class TestExitCodeContract:
              None, EXIT_USAGE),
             (["search", "--family", "bn12", "--x-max", "3", "--workers", "0"], None, EXIT_USAGE),
             (["search", "--family", "bn12", "--x-max", "3", "--workers", "-2"], None, EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(10**24 + 7)], None, EXIT_USAGE),
         ],
         ids=[
             "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
-            "record-k-zero", "inline-k-zero", "inline-k-negative", "trials-zero",
-            "trials-negative", "inline-d-zero", "inline-d-negative", "record-d-zero",
+            "record-k-zero", "inline-k-zero", "inline-k-negative",
+            "inline-d-zero", "inline-d-negative", "record-d-zero",
             "pell-count-zero", "pell-count-negative", "search-out-missing-dir",
-            "verify-out-missing-dir", "workers-zero", "workers-negative",
+            "verify-out-missing-dir", "workers-zero", "workers-negative", "analyze-huge-k",
         ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,6 +21,10 @@ from pforge.curve import (
 from pforge.errors import CapacityError, ContractError
 
 from conftest import EXAMPLE_149, EXAMPLE_196
+
+
+def is_small_prime(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 def naive_points(q, a, b):
@@ -187,6 +192,37 @@ class TestGroupOrder:
         with pytest.raises(ContractError, match="Hasse window"):
             verify_group_order((13, 1, 6), 11, trials=1)
 
+    def test_trial_count_below_one_rejected(self):
+        ex = EXAMPLE_149
+        with pytest.raises(ValueError, match="trials"):
+            verify_group_order((ex.q, ex.a % ex.q, ex.b % ex.q), ex.n, trials=0)
+
+    def test_one_point_decides_order_brute_force(self):
+        """For prime n in the Hasse interval with 16q < n**2, [n]P is
+        infinity for every affine P when #E = n and for none otherwise, so
+        one point of any choice decides #E = n.  #E is counted by brute
+        force on sampled curves over small prime fields."""
+        rng = random.Random(10)
+        pairs = matches = 0
+        for q in (37, 41, 43, 47, 53, 59, 61, 67):
+            root = math.isqrt(4 * q)
+            primes = [
+                n for n in range(q + 1 - root, q + 2 + root)
+                if (n - q - 1) ** 2 <= 4 * q and 16 * q < n * n and is_small_prime(n)
+            ]
+            for _ in range(20):
+                a, b = rng.randrange(q), rng.randrange(q)
+                if (4 * a**3 + 27 * b * b) % q == 0:
+                    continue
+                points = naive_points(q, a, b)
+                affine = points[1:]
+                for n in primes:
+                    killed = {scalar_multiply(p, n, (q, a, b)) is INFINITY for p in affine}
+                    assert killed == {len(points) == n}, (q, a, b, n)
+                    pairs += 1
+                    matches += len(points) == n
+        assert pairs > 1000 and matches > 10
+
 
 class TestEmbeddingDegree:
     def test_small_examples(self):
@@ -256,7 +292,7 @@ class TestVerifyRecord:
         return CurveRecord(**values)
 
     def test_published_full_record(self, published_curve):
-        record = verify_record(self.make_record(published_curve), rng=random.Random(0))
+        record = verify_record(self.make_record(published_curve))
         assert record.status is RecordStatus.CURVE_VERIFIED
 
     def test_without_coefficients_stops_at_prime_ok(self, published_curve):
@@ -269,9 +305,7 @@ class TestVerifyRecord:
         assert "CM equation" in record.reason
 
     def test_perturbed_b_rejected(self):
-        record = verify_record(
-            self.make_record(EXAMPLE_149, b=EXAMPLE_149.b + 1), rng=random.Random(0)
-        )
+        record = verify_record(self.make_record(EXAMPLE_149, b=EXAMPLE_149.b + 1))
         assert record.status is RecordStatus.REJECTED
         assert "group order" in record.reason
 

@@ -15,7 +15,6 @@ from pforge.numtheory import (
     integer_sqrt,
     is_probable_prime,
     jacobi_symbol,
-    mod_pow,
     sqrt_mod,
     sqrt_mod_prime,
     squarefree_decompose,
@@ -35,28 +34,6 @@ def sieve(limit):
 
 PRIME_FLAGS = sieve(10**5)
 SMALL_PRIMES = [p for p in range(2, 1000) if PRIME_FLAGS[p]]
-
-
-class TestModPow:
-    def test_repeated_multiplication_oracle(self):
-        expected = 1
-        for _ in range(10):
-            expected = expected * 2 % 1000
-        assert mod_pow(2, 10, 1000) == expected == 24
-
-    def test_zero_exponent(self):
-        assert mod_pow(5, 0, 7) == 1
-
-    def test_base_congruent_zero(self):
-        assert mod_pow(7, 1, 7) == 0
-
-    def test_rejects_small_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
 
 
 class TestPrimality:
@@ -82,10 +59,6 @@ class TestPrimality:
         # strong pseudoprime candidates must still be rejected
         for m in (3215031751, 3474749660383, 341550071728321):
             assert not is_probable_prime(m)
-
-    def test_explicit_rng_accepted(self):
-        rng = random.Random(7)
-        assert is_probable_prime(2**89 - 1, rng)  # Mersenne prime
 
     def test_perfect_square_rejected(self):
         p = 10**9 + 7
