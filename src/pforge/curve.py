@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import CapacityError, ContractError
-from .numtheory import factorize, integer_sqrt, is_probable_prime, sqrt_mod_prime
+from .numtheory import factorize, first_composite, integer_sqrt, sqrt_mod_prime
 
 # Affine point: (x, y) with 0 <= x, y < q, or None for the point at infinity.
 Point = tuple[int, int] | None
@@ -243,17 +243,18 @@ def verify_record(record: CurveRecord) -> CurveRecord:
     Reaches CURVE_VERIFIED when curve coefficients are present and the
     group order confirms; PRIME_OK when all coefficient-free checks pass.
     This is the only PRIME_OK gate: search candidates come through it via
-    families.instantiate.  A composite q or n is named q(x0) / n(x0) when
-    the record carries x0.
+    families.instantiate.  q and n are tested for primality in lockstep
+    (numtheory.first_composite), and the rejection names whichever is shown
+    composite first: the composite one when only one is, either when both
+    are.  It reads q(x0) / n(x0) when the record carries x0.
     """
     q, n, t = record.q, record.n, record.t
     if n != q + 1 - t:
         return record.rejected(f"n != q + 1 - t (t = {t})")
-    at_x0 = "" if record.x0 is None else f"({record.x0})"
-    if not is_probable_prime(q):
-        return record.rejected(f"q{at_x0} is not prime")
-    if not is_probable_prime(n):
-        return record.rejected(f"n{at_x0} is not prime")
+    composite = first_composite(q, n)
+    if composite is not None:
+        at_x0 = "" if record.x0 is None else f"({record.x0})"
+        return record.rejected(f"{'qn'[composite]}{at_x0} is not prime")
     if q == n:
         return record.rejected("degenerate: q == n")
     f = 4 * q - t * t

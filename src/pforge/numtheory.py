@@ -1,15 +1,26 @@
 """Arbitrary-precision integer utilities: modular arithmetic, primality,
 quadratic residues, integer roots, bounded factorization.
 
-Primality is probabilistic but conservative: trial division by all primes
-below 1000, then 40 Miller-Rabin rounds with bases derived from the
-input, then one strong Lucas test (BPSW style).
+Primality is probabilistic but conservative, and runs in three stages,
+cheapest first (the Baillie-Wagstaff ordering; Crandall-Pomerance, Prime
+Numbers, section 3):
+
+1. trial division by every prime below 1000, done as one gcd with their
+   product (a table lookup below 1000), then the perfect-square check;
+2. the first Miller-Rabin round;
+3. the other 39 rounds, then one strong Lucas test.
+
+The 40 Miller-Rabin bases are drawn in a fixed order from a generator
+seeded with the input.  `first_composite` runs several values through the
+stages in lockstep, so a value that fails a cheap stage spares the full
+test of the others.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -98,28 +109,59 @@ def _strong_lucas_probable_prime(m: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=1)
+def _primorial() -> int:
+    """The product of the primes below TRIAL_DIVISION_LIMIT."""
+    return math.prod(_primes_below(TRIAL_DIVISION_LIMIT))
+
+
+def _primality_stages(m: int) -> Iterator[bool]:
+    """Yield, stage by stage, whether m passes; callers stop at the first
+    False.  m is a probable prime when every value is True (a prime below
+    TRIAL_DIVISION_LIMIT is decided by the first stage)."""
+    if m < TRIAL_DIVISION_LIMIT:
+        yield m in _primes_below(TRIAL_DIVISION_LIMIT)
+        return
+    yield math.gcd(m, _primorial()) == 1 and not integer_sqrt(m)[1]
+    rng = random.Random(_WITNESS_SEED ^ (m % (1 << 64)))
+    yield not _miller_rabin_witness(m, rng.randrange(2, m - 1))
+    for _ in range(MILLER_RABIN_ROUNDS - 1):
+        if _miller_rabin_witness(m, rng.randrange(2, m - 1)):
+            yield False
+            return
+    yield _strong_lucas_probable_prime(m)
+
+
 def is_probable_prime(m: int) -> bool:
-    """Probabilistic primality: trial division, Miller-Rabin, strong Lucas.
+    """Probabilistic primality: trial division, then 40 Miller-Rabin rounds,
+    then a strong Lucas test, in the stages of the module docstring.
 
     The Miller-Rabin bases are drawn from a generator seeded with the
     input, so a verdict is the same on every run.
     """
-    if m < 2:
-        return False
-    for p in _primes_below(TRIAL_DIVISION_LIMIT):
-        if m == p:
-            return True
-        if m % p == 0:
-            return False
-    root, exact = integer_sqrt(m)
-    if exact:
-        return False
-    rng = random.Random(_WITNESS_SEED ^ (m % (1 << 64)))
-    for _ in range(MILLER_RABIN_ROUNDS):
-        base = rng.randrange(2, m - 1)
-        if _miller_rabin_witness(m, base):
-            return False
-    return _strong_lucas_probable_prime(m)
+    return all(_primality_stages(m))
+
+
+def first_composite(*values: int) -> int | None:
+    """Index of the first value shown composite, or None when every value
+    is a probable prime.
+
+    The values go through the primality stages in lockstep: stage s runs
+    on each undecided value, in order, before stage s + 1 runs on any, and
+    the first failure ends the test.  The index is that of the value that
+    fails the earliest stage, the lowest index among those failing it.
+    """
+    pending = [(index, _primality_stages(m)) for index, m in enumerate(values)]
+    while pending:
+        undecided = []
+        for index, stages in pending:
+            passed = next(stages, None)
+            if passed is False:
+                return index
+            if passed:
+                undecided.append((index, stages))
+        pending = undecided
+    return None
 
 
 def jacobi_symbol(a: int, m: int) -> int:
@@ -158,12 +200,14 @@ def integer_nth_root(m: int, e: int) -> tuple[int, bool]:
         raise ValueError("integer_nth_root needs m >= 0 and e >= 1")
     if m < 2 or e == 1:
         return m, True
-    root = round(m ** (1.0 / e))
-    while root**e > m:
-        root -= 1
-    while (root + 1) ** e <= m:
-        root += 1
-    return root, root**e == m
+    # Newton's method on integers from 2**ceil(bits / e) >= the root: the
+    # iterates fall monotonically and stop at the floor.
+    root = 1 << -(-m.bit_length() // e)
+    while True:
+        step = ((e - 1) * root + m // root ** (e - 1)) // e
+        if step >= root:
+            return root, root**e == m
+        root = step
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

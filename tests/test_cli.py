@@ -360,10 +360,17 @@ def _run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
 
 _SMALL = st.integers(min_value=-3, max_value=40).map(str)
 _PRIMES = st.sampled_from(["2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37"])
+# A 216-bit product of two primes, and a 725-digit product of three
+# Mersenne primes (too large for a float): composites with no small factor
+# whose perfect-power check takes integer roots far beyond float precision.
+_SEMIPRIME_216 = 71143958422034120340969479516828379562010131878055893267417205447
+_MERSENNE_PRODUCT = (2**607 - 1) * (2**521 - 1) * (2**1279 - 1)
 # Large values for flags and fields that name a number, not a range or a
-# size: two primes, and a product of three primes above 10**6 that
-# factorize's trial division cannot split.
-_WIDE = st.sampled_from([10**24 + 7, 2**127 - 1, 999999999989 * 1000003 * 1000033]).map(str)
+# size: two primes, a product of three primes above 10**6 that
+# factorize's trial division cannot split, and the two composites above.
+_WIDE = st.sampled_from(
+    [10**24 + 7, 2**127 - 1, 999999999989 * 1000003 * 1000033, _SEMIPRIME_216, _MERSENNE_PRODUCT]
+).map(str)
 _FAMILIES = st.sampled_from(
     ["freeman10", "mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-", "bn12", "nosuch"]
 )
@@ -385,7 +392,7 @@ _FLAGS = {
     },
     "analyze": {"--t": _POLYS, "--n": _POLYS, "--q": _POLYS, "--k": _SMALL | _WIDE, "--d": _SMALL},
     "pell": {
-        "--dprime": _SMALL, "--t": _SMALL, "--count": st.sampled_from(["-3", "0", "1", "5"]),
+        "--dprime": _SMALL, "--t": _SMALL | _WIDE, "--count": st.sampled_from(["-3", "0", "1", "5"]),
         "--mod-u": st.sampled_from(["3,1", "0,1", "2,x"]), "--mod-v": st.sampled_from(["2,0", "-1,0"]),
         "--max-u-bits": st.sampled_from(["-1", "0", "16", "64"]), "--fundamental-unit": None,
     },
@@ -472,6 +479,13 @@ class TestExitCodeContract:
             (["search", "--family", "bn12", "--x-max", "3", "--workers", "0"], None, EXIT_USAGE),
             (["search", "--family", "bn12", "--x-max", "3", "--workers", "-2"], None, EXIT_USAGE),
             (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(10**24 + 7)], None, EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(_SEMIPRIME_216)], None,
+             EXIT_USAGE),
+            (["search", "--family", "mnt6+", "--d-min", str(_SEMIPRIME_216),
+              "--d-max", str(_SEMIPRIME_216)], None, EXIT_EMPTY),
+            (["pell", "--dprime", "7", "--t", str(_SEMIPRIME_216)], None, EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(_MERSENNE_PRODUCT)], None,
+             EXIT_USAGE),
         ],
         ids=[
             "unknown-family", "k-zero", "non-object-record", "order-check-precondition",
@@ -480,6 +494,8 @@ class TestExitCodeContract:
             "inline-d-zero", "inline-d-negative", "record-d-zero",
             "pell-count-zero", "pell-count-negative", "search-out-missing-dir",
             "verify-out-missing-dir", "workers-zero", "workers-negative", "analyze-huge-k",
+            "analyze-semiprime-k", "search-semiprime-d", "pell-semiprime-t",
+            "analyze-float-overflow-k",
         ],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, record_line, code):
@@ -492,6 +508,8 @@ class TestExitCodeContract:
         assert "Traceback" not in proc.stderr
         if code == EXIT_USAGE:
             assert proc.stderr.startswith("error:")
+        elif code == EXIT_EMPTY:
+            assert "skipped: square-freeness could not be verified" in proc.stderr
         else:
             status = json.loads(proc.stdout)["status"]
             assert status.startswith("REJECTED(group order check: ")

@@ -352,3 +352,15 @@ class TestVerifyRecord:
         """Each record fails exactly one check, so dropping any check from
         verify_record changes its verdict."""
         assert verify_record(CurveRecord(**fields)).reason == reason
+
+    def test_both_composite_names_the_first_shown_composite(self):
+        """q and n are tested in lockstep: q = 8647 * 17293 * 25939 survives
+        trial division and the first Miller-Rabin round, n = 1000 * 1009
+        fails trial division, so n is named although q is composite too."""
+        q, n = 8647 * 17293 * 25939, 1000 * 1009
+        for x0, named in ((None, "n"), (7, "n(7)")):
+            record = verify_record(CurveRecord(k=2, q=q, n=n, t=q + 1 - n, x0=x0))
+            assert record.status is RecordStatus.REJECTED
+            assert record.reason == f"{named} is not prime"
+        record = verify_record(CurveRecord(k=2, q=n, n=q, t=n + 1 - q))
+        assert record.reason == "q is not prime"

@@ -11,6 +11,7 @@ from pforge.numtheory import (
     NaturalFactorization,
     euler_phi,
     factorize,
+    first_composite,
     integer_nth_root,
     integer_sqrt,
     is_probable_prime,
@@ -63,6 +64,92 @@ class TestPrimality:
     def test_perfect_square_rejected(self):
         p = 10**9 + 7
         assert not is_probable_prime(p * p)
+
+
+# Strong pseudoprimes to base 2, Carmichael numbers, and a Chernick
+# Carmichael number 8647 * 17293 * 25939 whose first seeded Miller-Rabin
+# base is a strong liar, so only the third primality stage shows it composite.
+STRONG_PSEUDOPRIMES_BASE_2 = (2047, 3277, 4033, 3215031751)
+CARMICHAEL = (561, 41041, 825265, 321197185)
+PASSES_FIRST_ROUND = 8647 * 17293 * 25939
+
+
+def _strong_probable_prime_to_base(m, base):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, m)
+    return x == 1 or any(pow(x, 1 << r, m) == m - 1 for r in range(s))
+
+
+class TestStagedPrimality:
+    """The staged test against sympy.isprime, and the lockstep first_composite."""
+
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def test_agrees_with_sympy_below_2e5(self, sympy):
+        for m in range(-3, 2 * 10**5):
+            assert is_probable_prime(m) == sympy.isprime(m), m
+
+    def test_agrees_with_sympy_on_256_bit(self, sympy):
+        rng = random.Random(256)
+        values = [rng.getrandbits(256) for _ in range(100)]
+        values += [sympy.nextprime(rng.getrandbits(256)) for _ in range(100)]
+        for m in values:
+            assert is_probable_prime(m) == sympy.isprime(m), m
+
+    def test_test_data_are_pseudoprimes(self):
+        for m in STRONG_PSEUDOPRIMES_BASE_2:
+            assert _strong_probable_prime_to_base(m, 2), m
+        for m in (*CARMICHAEL, PASSES_FIRST_ROUND):
+            assert all(pow(a, m - 1, m) == 1 for a in (2, 3, 5, 7, 11, 13) if math.gcd(a, m) == 1)
+
+    @pytest.mark.parametrize(
+        "m", [*STRONG_PSEUDOPRIMES_BASE_2, *CARMICHAEL, PASSES_FIRST_ROUND, *range(990, 1011)]
+    )
+    def test_agrees_with_sympy_on_pseudoprimes_and_the_table_edge(self, sympy, m):
+        assert is_probable_prime(m) == sympy.isprime(m)
+
+    def test_agrees_with_sympy_on_products_of_two_primes(self, sympy):
+        primes = [p for p in range(1000, 1400) if PRIME_FLAGS[p]]
+        rng = random.Random(2)
+        primes += [sympy.nextprime(rng.getrandbits(bits)) for bits in (20, 32, 64, 128, 128)]
+        for i, p in enumerate(primes):
+            for r in primes[i:]:
+                assert not is_probable_prime(p * r), (p, r)
+
+    def test_first_composite_is_none_exactly_when_all_prime(self, sympy):
+        rng = random.Random(13)
+        pool = [
+            -5, 0, 1, 2, 3, 997, 1009, 1000 * 1009, 1009 * 1013, 1009**2, 561,
+            PASSES_FIRST_ROUND, *STRONG_PSEUDOPRIMES_BASE_2, 2**127 - 1, 2**127 + 1,
+            sympy.nextprime(2**254), 2**254 + 1,
+        ]
+        for _ in range(400):
+            values = [rng.choice(pool) for _ in range(rng.randrange(4))]
+            index = first_composite(*values)
+            if index is None:
+                assert all(sympy.isprime(m) for m in values), values
+            else:
+                assert not sympy.isprime(values[index]), (values, index)
+
+    def test_first_composite_runs_the_stages_in_lockstep(self):
+        """The value that fails the earliest stage is named, whatever its
+        position: trial division before the first Miller-Rabin round, and
+        that round before the other 39 and the Lucas test."""
+        small_factor, semiprime = 1000 * 1009, 8647 * 8663
+        assert first_composite(PASSES_FIRST_ROUND, small_factor) == 1
+        assert first_composite(PASSES_FIRST_ROUND, semiprime) == 1
+        assert first_composite(semiprime, small_factor) == 1
+        assert first_composite(small_factor, semiprime) == 0
+        assert first_composite(semiprime, PASSES_FIRST_ROUND) == 0
+        assert first_composite(2**127 - 1, PASSES_FIRST_ROUND) == 1
+        assert first_composite(2**127 - 1, 1009, 2, small_factor) == 3
+        assert first_composite(2**127 - 1, 1009) is None
+        assert first_composite() is None
 
 
 class TestJacobi:
@@ -118,6 +205,22 @@ class TestIntegerSqrt:
         assert integer_nth_root(8, 3) == (2, True)
         assert integer_nth_root(80, 3) == (4, False)
         assert integer_nth_root(1, 5) == (1, True)
+
+    def test_nth_root_around_exact_powers(self):
+        """Floor and exactness at r**e - 1, r**e and r**e + 1, for r far
+        beyond a float's precision and range, and against a scan for every
+        m < 3000."""
+        rng = random.Random(700)
+        for _ in range(300):
+            r = rng.randrange(2, 2**rng.randrange(2, 701))
+            e = rng.randrange(2, 9)
+            assert integer_nth_root(r**e - 1, e) == (r - 1, False), (r, e)
+            assert integer_nth_root(r**e, e) == (r, True), (r, e)
+            assert integer_nth_root(r**e + 1, e) == (r, False), (r, e)
+        for m in range(3000):
+            for e in range(2, 13):
+                root = next(r for r in range(m + 1) if (r + 1) ** e > m)
+                assert integer_nth_root(m, e) == (root, root**e == m), (m, e)
 
 
 class TestSqrtModPrime:
