@@ -248,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     provenance = _provenance(args)
     for record in records:
         # verification is recomputed from scratch; incoming status is advisory
-        record = replace(record, status=RecordStatus.PENDING, reason=None)
+        record = record.with_status(RecordStatus.PENDING)
         if args.family:
             record = _family_consistency(record, args.family)
         if record.status is not RecordStatus.REJECTED:

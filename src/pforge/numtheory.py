@@ -13,7 +13,9 @@ Numbers, section 3):
 The 40 Miller-Rabin bases are drawn in a fixed order from a generator
 seeded with the input.  `first_composite` runs several values through the
 stages in lockstep, so a value that fails a cheap stage spares the full
-test of the others.
+test of the others.  A process proves each prime once: a value that has
+passed every stage is remembered (the last PROVEN_PRIMES_MAXSIZE of them)
+and not tested again.  Composites are never remembered.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ from functools import lru_cache
 MILLER_RABIN_ROUNDS = 40
 TRIAL_DIVISION_LIMIT = 1000
 DEFAULT_FACTOR_BOUND = 10**6
+PROVEN_PRIMES_MAXSIZE = 512
 
 # Mixed into the per-input witness seed so results are reproducible run to run.
 _WITNESS_SEED = 0x5E3D_9A17
+
+# Values from TRIAL_DIVISION_LIMIT up that passed every primality stage,
+# oldest first (a dict keeps insertion order), at most PROVEN_PRIMES_MAXSIZE.
+_proven_primes: dict[int, None] = {}
 
 
 @lru_cache(maxsize=8)
@@ -129,7 +136,14 @@ def _primality_stages(m: int) -> Iterator[bool]:
         if _miller_rabin_witness(m, rng.randrange(2, m - 1)):
             yield False
             return
-    yield _strong_lucas_probable_prime(m)
+    if not _strong_lucas_probable_prime(m):
+        yield False
+        return
+    # Every stage passed: remember m, dropping the oldest beyond the bound.
+    _proven_primes[m] = None
+    if len(_proven_primes) > PROVEN_PRIMES_MAXSIZE:
+        del _proven_primes[next(iter(_proven_primes))]
+    yield True
 
 
 def is_probable_prime(m: int) -> bool:
@@ -139,7 +153,7 @@ def is_probable_prime(m: int) -> bool:
     The Miller-Rabin bases are drawn from a generator seeded with the
     input, so a verdict is the same on every run.
     """
-    return all(_primality_stages(m))
+    return first_composite(m) is None
 
 
 def first_composite(*values: int) -> int | None:
@@ -149,9 +163,15 @@ def first_composite(*values: int) -> int | None:
     The values go through the primality stages in lockstep: stage s runs
     on each undecided value, in order, before stage s + 1 runs on any, and
     the first failure ends the test.  The index is that of the value that
-    fails the earliest stage, the lowest index among those failing it.
+    fails the earliest stage, the lowest index among those failing it.  A
+    value proven prime before is left out: it fails no stage, so leaving
+    it out cannot change the index.
     """
-    pending = [(index, _primality_stages(m)) for index, m in enumerate(values)]
+    pending = [
+        (index, _primality_stages(m))
+        for index, m in enumerate(values)
+        if m not in _proven_primes
+    ]
     while pending:
         undecided = []
         for index, stages in pending:
@@ -319,7 +339,10 @@ def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> NaturalFactorization
             factors.append((rest, 1))
             rest = 1
         else:
-            for e in range(rest.bit_length(), 1, -1):
+            # Every prime up to max(bound, 2) is divided out, so a root r of
+            # rest exceeds 2**low, and r**e = rest < 2**bits needs low * e < bits.
+            low = max(bound, 2).bit_length() - 1
+            for e in range((rest.bit_length() - 1) // low, 1, -1):
                 root, exact = integer_nth_root(rest, e)
                 if exact and is_probable_prime(root):
                     factors.append((root, e))

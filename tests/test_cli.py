@@ -24,7 +24,7 @@ from pforge.cli import (
 )
 from pforge.curve import CurveRecord, RecordStatus
 
-from conftest import EXAMPLE_149
+from conftest import EXAMPLE_149, EXAMPLE_196
 
 
 def _records_without_provenance(path) -> list[dict]:
@@ -251,6 +251,33 @@ class TestVerifyCommand:
         assert main(bad) == EXIT_VERIFY_FAILED
         data = json.loads(capsys.readouterr().out.strip())
         assert data["status"].startswith("REJECTED")
+
+    def test_twins_verified_together_match_one_process_per_line(self, tmp_path):
+        """A curve and its quadratic twist share q and n, so verifying them in
+        one process proves each prime once; the lines must not change."""
+        records = []
+        for ex in (EXAMPLE_149, EXAMPLE_196):
+            q = ex.q
+            c = next(c for c in range(2, q) if pow(c, (q - 1) // 2, q) == q - 1)
+            for a, b in ((ex.a, ex.b), (ex.a * c * c % q, ex.b * c**3 % q)):
+                records.append(CurveRecord(k=10, q=q, n=ex.n, t=q + 1 - ex.n, d=ex.d, a=a, b=b))
+        path = tmp_path / "twins.jsonl"
+
+        def verify(batch):
+            # one path for every run, so the provenance digests agree
+            path.write_text("".join(serialize_record(r) + "\n" for r in batch))
+            result = _run_cli(["verify", "--in", str(path)], timeout=60)
+            rows = [json.loads(line) for line in result.stdout.splitlines()]
+            for row in rows:
+                del row["provenance"]["timestamp"]
+            return result.returncode, rows
+
+        together = verify(records)
+        alone = [verify([record]) for record in records]
+        assert together == (EXIT_VERIFY_FAILED, [row for _, rows in alone for row in rows])
+        assert [code for code, _ in alone] == [EXIT_OK, EXIT_VERIFY_FAILED] * 2
+        statuses = ["CURVE_VERIFIED", "REJECTED(group order check: REFUTED)"]
+        assert [row["status"] for row in together[1]] == statuses * 2
 
     def test_missing_t_derived(self, capsys):
         # drop a and b: verification stops at PRIME_OK

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pforge import numtheory
 from pforge.numtheory import (
     NaturalFactorization,
     euler_phi,
@@ -83,12 +84,13 @@ def _strong_probable_prime_to_base(m, base):
     return x == 1 or any(pow(x, 1 << r, m) == m - 1 for r in range(s))
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
 class TestStagedPrimality:
     """The staged test against sympy.isprime, and the lockstep first_composite."""
-
-    @pytest.fixture(scope="class")
-    def sympy(self):
-        return pytest.importorskip("sympy")
 
     def test_agrees_with_sympy_below_2e5(self, sympy):
         for m in range(-3, 2 * 10**5):
@@ -150,6 +152,82 @@ class TestStagedPrimality:
         assert first_composite(2**127 - 1, 1009, 2, small_factor) == 3
         assert first_composite(2**127 - 1, 1009) is None
         assert first_composite() is None
+
+
+class TestProvenPrimeMemo:
+    """first_composite remembers the values it proved prime, and only those."""
+
+    @pytest.fixture
+    def memo(self):
+        saved = dict(numtheory._proven_primes)
+        numtheory._proven_primes.clear()
+        yield numtheory._proven_primes
+        numtheory._proven_primes.clear()
+        numtheory._proven_primes.update(saved)
+
+    @pytest.fixture(scope="class")
+    def pool(self, sympy):
+        rng = random.Random(17)
+        primes = [1009, 2**127 - 1, *(sympy.nextprime(rng.getrandbits(b)) for b in (64, 160, 254))]
+        composites = [
+            0, 1, 1000 * 1009, 1009**2, 8647 * 8663, PASSES_FIRST_ROUND,
+            *STRONG_PSEUDOPRIMES_BASE_2, *CARMICHAEL, 2**127 + 1, primes[-1] * primes[-2],
+        ]
+        return primes + composites
+
+    def test_cold_and_warm_memo_give_the_same_index(self, sympy, memo, pool):
+        rng = random.Random(5)
+        for _ in range(300):
+            values = [rng.choice(pool) for _ in range(rng.randrange(5))]
+            memo.clear()
+            cold = first_composite(*values)
+            warm = first_composite(*values)
+            for m in pool:
+                is_probable_prime(m)
+            assert first_composite(*values) == warm == cold, values
+            if cold is None:
+                assert all(sympy.isprime(m) for m in values), values
+            else:
+                assert not sympy.isprime(values[cold]), (values, cold)
+
+    def test_only_primes_enter(self, sympy, memo, pool):
+        # PASSES_FIRST_ROUND passes trial division and the first
+        # Miller-Rabin round, so only the full test keeps it out.
+        assert first_composite(PASSES_FIRST_ROUND) == 0
+        assert first_composite(2**127 - 1, PASSES_FIRST_ROUND) == 1
+        assert PASSES_FIRST_ROUND not in memo and 2**127 - 1 in memo
+        for m in pool:
+            is_probable_prime(m)
+        for m in range(-3, 2000):
+            is_probable_prime(m)
+        assert memo and all(sympy.isprime(m) for m in memo)
+        assert all(m in memo for m in pool if sympy.isprime(m))
+
+    def test_a_value_failing_the_lucas_test_stays_out(self, memo, monkeypatch):
+        # No known composite passes 40 Miller-Rabin rounds and fails the
+        # Lucas test, so a failing Lucas test is forced on a prime.
+        monkeypatch.setattr(numtheory, "_strong_lucas_probable_prime", lambda m: False)
+        assert first_composite(1009, 2**127 - 1) == 0
+        assert not memo
+
+    def test_a_proven_prime_is_not_tested_again(self, memo, monkeypatch):
+        p = 2**127 - 1
+        assert is_probable_prime(p)
+        rounds = []
+        witness = numtheory._miller_rabin_witness
+        monkeypatch.setattr(
+            numtheory, "_miller_rabin_witness", lambda m, a: rounds.append(m) or witness(m, a)
+        )
+        assert first_composite(p, p, PASSES_FIRST_ROUND) == 2
+        assert p not in rounds and PASSES_FIRST_ROUND in rounds
+
+    def test_memo_keeps_the_latest_values_within_its_bound(self, memo):
+        size = numtheory.PROVEN_PRIMES_MAXSIZE
+        primes = [p for p in range(1000, 20000) if PRIME_FLAGS[p]][: size + 50]
+        for p in primes:
+            assert first_composite(p, p) is None
+            assert len(memo) <= size
+        assert list(memo) == primes[-size:]
 
 
 class TestJacobi:
@@ -337,6 +415,19 @@ class TestFactorizeMatchesFullSieve:
         for _ in range(200):
             m = rng.randrange(1, 2**64)
             assert factorize(m) == reference_factorize(m, 10**6), m
+
+    @pytest.mark.parametrize("bound", [-5, 0, 1, 2, 3, 4, 100, 1024, 10**4])
+    def test_perfect_powers_and_near_powers(self, bound):
+        """The perfect-power check starts at the largest exponent a root
+        above the bound allows; the reference tries every exponent."""
+        rng = random.Random(bound)
+        for _ in range(15):
+            p = max(bound, 2) + rng.randrange(1, 1 << rng.choice((2, 8, 24)))
+            while not is_probable_prime(p):
+                p += 1
+            e = rng.randrange(2, 24)
+            for m in (p**e, p**e - 1, p**e + 1, 2 * p**e, (p * (p + 2)) ** e):
+                assert factorize(m, bound) == reference_factorize(m, bound), (m, bound)
 
 
 class TestFactorization:
