@@ -80,14 +80,6 @@ def is_on_curve(point: Point, curve: Curve) -> bool:
     return (y * y - (x * x * x + a * x + b)) % q == 0
 
 
-def negate_point(point: Point, curve: Curve) -> Point:
-    if point is None:
-        return None
-    q = curve[0]
-    x, y = point
-    return (x, (-y) % q)
-
-
 # Jacobian point: (X, Y, Z) stands for the affine (X/Z**2, Y/Z**3); Z = 0
 # is the point at infinity.  Formulas: Bernstein-Lange, Explicit-Formulas
 # Database, g1p/auto-shortw-jacobian (dbl-1998-cmo-2 for general a,

@@ -268,49 +268,38 @@ def parse_poly(text: str) -> IntPoly:
     return result
 
 
-def _divmod_exact_steps(p: IntPoly, d: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Integer long division; requires every leading-term division exact
-    (true whenever d divides p with an integer quotient)."""
+def pseudo_divmod(p: IntPoly, d: IntPoly) -> tuple[IntPoly, IntPoly, int]:
+    """Fraction-free long division: returns (quo, rem, L) with
+    L*p = d*quo + rem and deg rem < deg d, where L is a power of lc(d).
+
+    rem, quo and L are scaled by lc(d) only on a step whose leading
+    coefficient lc(d) does not divide, so L is 1 whenever d divides p in
+    Z[x], and in particular whenever d is monic."""
     if d.is_zero:
-        raise ValueError("division by the zero polynomial")
-    rem = list(p.coeffs)
-    dc = d.coeffs
-    if len(rem) < len(dc):
-        return IntPoly.zero(), p
-    quo = [0] * (len(rem) - len(dc) + 1)
+        raise ValueError("pseudo-division by the zero polynomial")
+    rem, dc, lam, mult = list(p.coeffs), d.coeffs, d.leading_coefficient, 1
+    quo = [0] * max(len(rem) - len(dc) + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
         lead = rem[k + len(dc) - 1]
-        c, r = divmod(lead, dc[-1])
-        if r != 0:
-            raise ValueError(f"non-exact division step: {lead} / {dc[-1]}")
+        c, r = divmod(lead, lam)
+        if r:
+            rem = [x * lam for x in rem]
+            quo = [x * lam for x in quo]
+            mult *= lam
+            c = lead
         quo[k] = c
         if c:
             for i, b in enumerate(dc):
                 rem[k + i] -= c * b
-    return IntPoly.from_coeffs(quo), IntPoly.from_coeffs(rem)
+    return IntPoly.from_coeffs(quo), IntPoly.from_coeffs(rem), mult
 
 
 def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
-    quo, rem = _divmod_exact_steps(p, d)
-    if not rem.is_zero:
-        raise ValueError(f"{p} is not divisible by {d}")
+    """p / d when d divides p in Z[x]; ValueError otherwise."""
+    quo, rem, mult = pseudo_divmod(p, d)
+    if not rem.is_zero or mult != 1:
+        raise ValueError(f"{p} is not divisible by {d} in Z[x]")
     return quo
-
-
-def pseudo_divmod(p: IntPoly, d: IntPoly) -> tuple[IntPoly, IntPoly, int]:
-    """Fraction-free division: returns (quo, rem, L) with L*p = d*quo + rem,
-    where L is a power of lc(d)."""
-    if d.is_zero:
-        raise ValueError("pseudo-division by the zero polynomial")
-    lam = d.leading_coefficient
-    quo, rem, mult = IntPoly.zero(), p, 1
-    while not rem.is_zero and rem.degree >= d.degree:
-        shift = rem.degree - d.degree
-        lead = IntPoly.from_coeffs([0] * shift + [rem.leading_coefficient])
-        quo = quo * lam + lead
-        rem = rem * lam - lead * d
-        mult *= lam
-    return quo, rem, mult
 
 
 class DivisionResult(NamedTuple):
@@ -326,21 +315,13 @@ def divides(d: IntPoly, p: IntPoly) -> DivisionResult:
     rational quotient, returns the primitive integer form together with
     the rational content, so p = d * content * quotient.
     """
-    if d.is_zero:
-        raise ValueError("divisor must be nonzero")
-    if p.is_zero:
-        return DivisionResult(IntPoly.zero(), True, Fraction(1))
-    if p.degree < d.degree:
-        return DivisionResult(None, False, Fraction(1))
     quo, rem, lam = pseudo_divmod(p, d)
     if not rem.is_zero:
         return DivisionResult(None, False, Fraction(1))
-    coeffs = [Fraction(c, lam) for c in quo.coeffs]
-    if all(c.denominator == 1 for c in coeffs):
-        return DivisionResult(IntPoly.from_coeffs([c.numerator for c in coeffs]), True, Fraction(1))
-    prim = quo.primitive_part()
+    if lam == 1:
+        return DivisionResult(quo, True, Fraction(1))
     content = Fraction(quo.content if quo.leading_coefficient > 0 else -quo.content, lam)
-    return DivisionResult(prim, True, content)
+    return DivisionResult(quo.primitive_part(), True, content)
 
 
 @lru_cache(maxsize=None)
@@ -392,15 +373,6 @@ def squarefree_factorization(p: IntPoly) -> list[tuple[IntPoly, int]]:
         c = c_next
         i += 1
     return out
-
-
-def is_squarefree(p: IntPoly) -> bool:
-    """No repeated roots: gcd(p, p') constant."""
-    if p.is_zero:
-        return False
-    if p.degree < 1:
-        return True
-    return poly_gcd(p, p.derivative()).degree == 0
 
 
 def classify_square_part(f: IntPoly) -> tuple[IntPoly, IntPoly, int]:

@@ -314,17 +314,19 @@ class NaturalFactorization:
 
 
 def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> NaturalFactorization:
-    """Trial division by primes up to `bound`, then prime / perfect-power
-    recognition on the remaining cofactor.  No general-purpose factoring."""
+    """Trial division by primes up to `bound` (a bound below 2 acts as 2),
+    then prime / perfect-power recognition on the remaining cofactor.  No
+    general-purpose factoring."""
     if m < 1:
         raise ValueError(f"factorize needs m >= 1, got {m}")
+    bound = max(bound, 2)
     factors: list[tuple[int, int]] = []
     rest = m
     # Trial division stops once p * p > rest, so primes above isqrt(m) are
     # never tried and the sieve need not reach them.  Rounding its size up
     # to a power of two keeps _primes_below's cache to a few sizes.
-    size = min(max(bound, 2), math.isqrt(m)) + 1
-    for p in _primes_below(min(1 << (size - 1).bit_length(), max(bound + 1, 3))):
+    size = min(bound, math.isqrt(m)) + 1
+    for p in _primes_below(min(1 << (size - 1).bit_length(), bound + 1)):
         if p * p > rest:
             break
         if rest % p == 0:
@@ -339,9 +341,9 @@ def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> NaturalFactorization
             factors.append((rest, 1))
             rest = 1
         else:
-            # Every prime up to max(bound, 2) is divided out, so a root r of
-            # rest exceeds 2**low, and r**e = rest < 2**bits needs low * e < bits.
-            low = max(bound, 2).bit_length() - 1
+            # Every prime up to bound is divided out, so a root r of rest
+            # exceeds 2**low, and r**e = rest < 2**bits needs low * e < bits.
+            low = bound.bit_length() - 1
             for e in range((rest.bit_length() - 1) // low, 1, -1):
                 root, exact = integer_nth_root(rest, e)
                 if exact and is_probable_prime(root):

@@ -88,11 +88,6 @@ class CFExpansion:
     def period(self) -> int:
         return len(self.periodic)
 
-    def convergents(self) -> Iterator[tuple[int, int]]:
-        """Yield (p_i, q_i) for i = 0, 1, 2, ..."""
-        for _, _, _, p, q in itertools.islice(_pqa(0, 1, self.dprime), 1, None):
-            yield p, q
-
 
 def _pqa(p0: int, q0: int, dprime: int) -> Iterator[tuple[int, int, int, int, int]]:
     """The continued fraction of (p0 + sqrt(dprime)) / q0 (PQa), for q0 != 0

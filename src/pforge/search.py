@@ -145,56 +145,36 @@ def _candidates(
         yield d_value, (x for x, _ in points)
 
 
-def _search_monotone_tail(eval_at, lo: int, target: int) -> int | None:
-    """Integer m >= lo with eval_at(m) = target, where eval_at is strictly
-    monotone on [lo, infinity); doubling bracket plus bisection."""
-    v0, v1 = eval_at(lo), eval_at(lo + 1)
-    if v0 == target:
-        return lo
-    increasing = v1 > v0
-    if (v0 > target) if increasing else (v0 < target):
-        return None
-    span = 1
-    prev = lo
-    while True:
-        hi = lo + span
-        vh = eval_at(hi)
-        if (vh >= target) if increasing else (vh <= target):
-            break
-        prev = hi
-        span *= 2
-    a, b = prev, hi
-    while a <= b:
-        mid = (a + b) // 2
-        val = eval_at(mid)
-        if val == target:
-            return mid
-        if (val < target) == increasing:
-            a = mid + 1
-        else:
-            b = mid - 1
-    return None
-
-
 def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:
     """The integer x0 with q(x0) = q_value, if any: scan the turning-point
-    region, then bisect the two monotone tails."""
+    region, then bisect each monotone tail, the right one first."""
     qp = family.q
     if qp.leading_coefficient <= 0:
         raise ValueError("q polynomial must have positive leading coefficient")
     dq = qp.derivative()
     if dq.is_zero:
         return None
-    # Cauchy bound: all real turning points lie within |x| <= turn
+    # Cauchy bounds: every real turning point of q lies within |x| < turn,
+    # every real root of q - q_value within |x| < reach
     turn = 1 + max(abs(c) for c in dq.coeffs) // abs(dq.leading_coefficient) + 1
     for x in range(-turn, turn + 1):
         if qp.evaluate(x) == q_value:
             return x
-    hit = _search_monotone_tail(qp.evaluate, turn, q_value)
-    if hit is not None:
-        return hit
-    hit = _search_monotone_tail(lambda s: qp.evaluate(-s), turn, q_value)
-    return -hit if hit is not None else None
+    *low, top = (qp - q_value).coeffs
+    reach = 2 + max(abs(c) for c in low) // top
+    for sign in (1, -1):
+        lo, hi = turn + 1, reach
+        increasing = qp.evaluate(sign * (lo + 1)) > qp.evaluate(sign * lo)
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            value = qp.evaluate(sign * mid)
+            if value == q_value:
+                return sign * mid
+            if (value < q_value) == increasing:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return None
 
 
 def run_search(config: SearchConfig) -> list[CurveRecord]:

@@ -13,7 +13,6 @@ from pforge.curve import (
     embedding_degree,
     is_exact_embedding_degree,
     is_on_curve,
-    negate_point,
     random_point,
     scalar_multiply,
     verify_group_order,
@@ -74,7 +73,8 @@ class TestGroupLaw:
         curve = (q, a, b)
         for p1 in pts:
             assert add_points(p1, INFINITY, curve) == p1  # identity
-            assert add_points(p1, negate_point(p1, curve), curve) is INFINITY  # inverse
+            inverse = None if p1 is None else (p1[0], -p1[1] % q)
+            assert add_points(p1, inverse, curve) is INFINITY
             for p2 in pts:
                 s = add_points(p1, p2, curve)
                 assert s in pts  # closure
@@ -118,7 +118,7 @@ class TestGroupLaw:
         for m in scalars:
             assert scalar_multiply(point, m, curve) == naive_multiply(m), m
         assert scalar_multiply(point, ex.n, curve) is INFINITY
-        assert scalar_multiply(point, ex.n - 1, curve) == negate_point(point, curve)
+        assert scalar_multiply(point, ex.n - 1, curve) == (point[0], -point[1] % q)
 
     def test_zero_scalar(self):
         assert scalar_multiply((2, 1), 0, (7, 2, 3)) is INFINITY

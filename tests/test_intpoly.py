@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from pforge.intpoly import (
     cyclotomic,
     divides,
     exact_div,
-    is_squarefree,
     parse_poly,
     poly_gcd,
     pseudo_divmod,
@@ -101,6 +102,7 @@ class TestArithmetic:
             assert (p * q).degree == p.degree + q.degree
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_oracle(k):
     """Independent route: raw-list division of x^k - 1 by recursively built
     proper-divisor cyclotomics."""
@@ -152,6 +154,10 @@ class TestCyclotomic:
             expected = IntPoly.from_coeffs([-1] + [0] * (k - 1) + [1])
             assert product == expected, k
 
+    def test_matches_oracle_to_400(self):
+        for k in range(1, 401):
+            assert cyclotomic(k).coeffs == tuple(cyclotomic_oracle(k)), k
+
     def test_degree_is_totient(self):
         from pforge.numtheory import euler_phi
 
@@ -202,6 +208,56 @@ class TestDivision:
         quo, rem, mult = pseudo_divmod(p, d)
         assert p * mult == d * quo + rem
         assert rem.is_zero or rem.degree < d.degree
+        lam = abs(d.leading_coefficient)
+        while lam > 1 and mult % lam == 0:
+            mult //= lam
+        assert abs(mult) == 1  # a power of lc(d)
+
+    @given(nonzero_polys, small_polys)
+    @settings(max_examples=200)
+    def test_no_scaling_on_exact_division(self, d, c):
+        """L stays 1 when d divides p in Z[x], and whenever d is monic."""
+        assert pseudo_divmod(d * c, d) == (c, IntPoly.zero(), 1)
+        monic = d + IntPoly.from_coeffs([0] * (d.degree + 1) + [1])
+        assert pseudo_divmod(c, monic)[2] == 1
+
+    def test_against_sympy_over_q(self):
+        """quo/L and rem/L are the quotient and remainder over Q."""
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def as_fractions(poly):
+            cs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            return cs
+
+        def as_sympy(poly):
+            return sympy.Poly(list(reversed(poly.coeffs)) or [0], x, domain=sympy.QQ)
+
+        rng = random.Random(2006)
+        for trial in range(400):
+            low = [rng.randint(-6, 6) for _ in range(rng.randint(0, 4))]
+            d = IntPoly.from_coeffs(low + [rng.choice((-4, -3, -1, 1, 2, 5))])
+            c = IntPoly.from_coeffs([rng.randint(-6, 6) for _ in range(rng.randint(0, 5))])
+            p = d * c if trial % 2 else c
+            sym_quo, sym_rem = sympy.div(as_sympy(p), as_sympy(d), domain=sympy.QQ)
+            quo_q, rem_q = as_fractions(sym_quo), as_fractions(sym_rem)
+
+            quo, rem, mult = pseudo_divmod(p, d)
+            assert [Fraction(v, mult) for v in quo.coeffs] == quo_q, (p, d)
+            assert [Fraction(v, mult) for v in rem.coeffs] == rem_q, (p, d)
+
+            result = divides(d, p)
+            assert result.divides == (not rem_q), (p, d)
+            if result.divides:
+                assert [result.content * v for v in result.quotient.coeffs] == quo_q, (p, d)
+            integral = not rem_q and all(v.denominator == 1 for v in quo_q)
+            if integral:
+                assert exact_div(p, d).coeffs == tuple(quo_q), (p, d)
+            else:
+                with pytest.raises(ValueError):
+                    exact_div(p, d)
 
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=200)
@@ -251,7 +307,6 @@ class TestSquarePart:
         g, h, content = classify_square_part(f)
         assert content * (g * g * h) == f
         assert content > 0
-        assert is_squarefree(h) or h.degree < 1
         if h.degree >= 1:
             assert poly_gcd(h, h.derivative()).degree == 0
 
@@ -278,3 +333,5 @@ class TestSquarePart:
         assert exact_div(parse_poly("x^2-1"), parse_poly("x-1")) == parse_poly("x+1")
         with pytest.raises(ValueError):
             exact_div(parse_poly("x^2+1"), parse_poly("x+1"))
+        with pytest.raises(ValueError):  # the quotient x/3 is not in Z[x]
+            exact_div(parse_poly("x^2"), parse_poly("3x"))

@@ -361,7 +361,9 @@ def primes_up_to(bound):
 
 
 def reference_factorize(m, bound):
-    """factorize with trial division by every prime up to the bound."""
+    """factorize with trial division by every prime up to the bound; a
+    bound below 2 acts as 2, as in factorize."""
+    bound = max(bound, 2)
     factors, rest = [], m
     for p in primes_up_to(bound):
         if p * p > rest:
@@ -441,6 +443,14 @@ class TestFactorization:
         sf, sq, complete = squarefree_decompose(p1 * p2 * 4, bound=100)
         assert not complete
         assert sf == 1 and sq == 2  # only the factored part is reflected
+
+    @pytest.mark.parametrize("bound", [-5, 0, 1])
+    def test_bound_below_two_acts_as_two(self, bound):
+        assert factorize(9, bound) == NaturalFactorization(factors=[(3, 2)], cofactor=1)
+        assert factorize(15, bound) == NaturalFactorization(factors=[], cofactor=15)
+        assert factorize(21, bound) == NaturalFactorization(factors=[], cofactor=21)
+        assert squarefree_decompose(9, bound) == (1, 3, True)
+        assert squarefree_decompose(15, bound) == (1, 1, False)
 
     def test_prime_cofactor_recognized(self):
         big = 2**127 - 1  # Mersenne prime

@@ -96,15 +96,6 @@ class TestContinuedFraction:
         with pytest.raises(CapacityError):
             continued_fraction_sqrt(3, max_period=1)
 
-    def test_convergents_approach(self):
-        cf = continued_fraction_sqrt(7)
-        convs = []
-        for (p, q), _ in zip(cf.convergents(), range(6)):
-            convs.append((p, q))
-        # convergent error strictly shrinks
-        errors = [abs(p * p - 7 * q * q) for p, q in convs]
-        assert all(e <= 3 for e in errors)
-
 
 class TestPQa:
     def test_partial_quotients_and_norm_identity(self):

@@ -1,9 +1,12 @@
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from pforge.curve import RecordStatus, verify_record
 from pforge.families import family_by_name, filter_discriminant_k10
+from pforge.intpoly import IntPoly
 from pforge.search import (
     SearchConfig,
     _discriminants,
@@ -49,6 +52,34 @@ class TestRecoverX:
                 value = fam.q.evaluate(x0)
                 recovered = recover_x_from_q(fam, value)
                 assert fam.q.evaluate(recovered) == value
+
+
+class TestRecoverXBruteForce:
+    """recover_x_from_q against a scan of every integer |x| <= 2000.  With
+    coefficients in [-9, 9], lc(q) >= 1 and |x0| <= 61, every x outside
+    the scan has |q(x)| > 0.99 * 2000**deg > 6 * 61**deg >= |q(x0)|, so the
+    scan finds every preimage of the values tried."""
+
+    def test_random_polynomials(self):
+        rng = random.Random(10)
+        for _ in range(150):
+            degree = rng.randint(1, 6)
+            low = [rng.randint(-9, 9) for _ in range(degree)]
+            qp = IntPoly.from_coeffs(low + [rng.randint(1, 5)])
+            fam = SimpleNamespace(q=qp)
+            preimages = {}
+            for x in range(-2000, 2001):
+                preimages.setdefault(qp.evaluate(x), set()).add(x)
+            # x0 inside the turning region and out on both tails, and the
+            # values strictly between the images of x0 and x0 + 1
+            for x0 in [rng.randint(-60, 60) for _ in range(4)] + [-60, -13, 13, 60]:
+                a, b = sorted((qp.evaluate(x0), qp.evaluate(x0 + 1)))
+                for value in {qp.evaluate(x0), a + 1, (a + b) // 2, b - 1}:
+                    got = recover_x_from_q(fam, value)
+                    if value in preimages:
+                        assert got in preimages[value], (qp, value, got)
+                    else:
+                        assert got is None, (qp, value, got)
 
 
 class TestSignedRange:
