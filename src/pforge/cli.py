@@ -6,13 +6,12 @@ JSON-lines record persistence, and the exit-code contract
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+import time
+from typing import NamedTuple
 
 from . import __version__
 from .curve import CurveRecord, RecordStatus, verify_record
@@ -26,7 +25,7 @@ from .families import (
 )
 from .intpoly import IntPoly, parse_poly
 from .pell import PellProblem, base_solutions, enumerate_solutions, fundamental_unit
-from .search import SearchConfig, quadratic_points, recover_x_from_q, run_search, split_search
+from .search import SearchConfig, integer_preimages, quadratic_points, run_search, split_search
 
 SCHEMA_VERSION = "1"
 
@@ -36,8 +35,7 @@ EXIT_EMPTY = 3
 EXIT_VERIFY_FAILED = 4
 
 
-@dataclass(frozen=True)
-class RecordEnvelope:
+class RecordEnvelope(NamedTuple):
     """One serialized record plus provenance; integers travel as decimal
     strings so the format does not depend on any numeric width."""
 
@@ -128,7 +126,7 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {
         "tool_version": __version__,
         "config_digest": f"sha256:{digest[:16]}",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
 
 
@@ -183,6 +181,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     configs = split_search(config, _at_least_one("--workers", args.workers))
 
     if len(configs) > 1:
+        import concurrent.futures  # here: loading it is a sizeable share of start-up
         # a pool that forks starts all of its processes at the first submit
         workers = min(len(configs), os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -208,18 +207,19 @@ def _inline_record(args: argparse.Namespace) -> CurveRecord:
 
 
 def _family_consistency(record: CurveRecord, family_name: str) -> CurveRecord:
-    """Recover x0 from q via the family polynomials and cross-check n, t."""
+    """Recover x0, the least x with q(x) = q where n(x) = n, and check n, t."""
     family = family_by_name(family_name)
-    x0 = recover_x_from_q(family, record.q)
-    if x0 is None:
+    preimages = integer_preimages(family.q, record.q)
+    if not preimages:
         return record.rejected(f"no integer x0 with q(x0) = q for family {family_name}")
+    x0 = next((x for x in preimages if family.n.evaluate(x) == record.n), preimages[0])
     if record.x0 is not None and record.x0 != x0:
         return record.rejected(f"recovered x0 = {x0} differs from supplied {record.x0}")
     if family.n.evaluate(x0) != record.n:
         return record.rejected(f"n(x0) does not match n at x0 = {x0}")
     if family.t.evaluate(x0) != record.t:
         return record.rejected(f"t(x0) does not match t at x0 = {x0}")
-    return replace(record, x0=x0)
+    return record._replace(x0=x0)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

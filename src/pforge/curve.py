@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, ContractError
 from .numtheory import factorize, first_composite, integer_sqrt, sqrt_mod_prime
@@ -35,8 +35,7 @@ class OrderCheck(enum.Enum):
     REFUTED = "REFUTED"
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(NamedTuple):
     """Concrete curve parameters.  a and b keep the sign they were supplied
     with (published parameter sets often use A = -3); arithmetic reduces
     them mod q."""
@@ -53,18 +52,10 @@ class CurveRecord:
     reason: str | None = None
 
     def rejected(self, reason: str) -> CurveRecord:
-        return self._settled(RecordStatus.REJECTED, reason)
+        return self._replace(status=RecordStatus.REJECTED, reason=reason)
 
     def with_status(self, status: RecordStatus) -> CurveRecord:
-        return self._settled(status, None)
-
-    def _settled(self, status: RecordStatus, reason: str | None) -> CurveRecord:
-        # Built directly: a scan rejects most candidates, and
-        # dataclasses.replace costs about 1.6 times as much per record.
-        return CurveRecord(
-            k=self.k, q=self.q, n=self.n, t=self.t, d=self.d, x0=self.x0,
-            a=self.a, b=self.b, status=status, reason=reason,
-        )
+        return self._replace(status=status, reason=None)
 
 
 def is_nonsingular(curve: Curve) -> bool:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -32,8 +31,7 @@ class Verdict(enum.Enum):
     UNKNOWN_NEEDS_SOLUTION = "UNKNOWN_NEEDS_SOLUTION"
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     name: str
     k: int
     t: IntPoly
@@ -42,13 +40,19 @@ class FamilyDescriptor:
     f: IntPoly
     classification: FamilyClassification
     fixed_d: int | None = None
-    # (modulus, residues) the search draws D from; a restriction the
-    # construction imposes that verify_family cannot derive
-    d_residues: tuple[int, tuple[int, ...]] | None = field(default=None, compare=False)
+    # (modulus, residues) the search draws D from, which verify_family cannot
+    # derive: a restriction of the construction, left out of == and hash()
+    d_residues: tuple[int, tuple[int, ...]] | None = None
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if isinstance(other, FamilyDescriptor) else NotImplemented
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     degree_check: bool
     balance_check: bool
     leading_coeff_check: bool

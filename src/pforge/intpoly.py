@@ -9,10 +9,11 @@ rationals, and the square-part decomposition f = content * g**2 * h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_CYCLOTOMIC_INDEX = 10**4
 MAX_PARSE_EXPONENT = 512
@@ -24,15 +25,31 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Integer-coefficient polynomial; coeffs[i] is the coefficient of x**i.
 
     Trailing zeros are stripped, so the zero polynomial has empty coeffs
     and every nonzero polynomial has a nonzero leading coefficient.
+    Immutable and hashable; not a tuple, so + and * stay polynomial.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"IntPoly is immutable: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, IntPoly) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @staticmethod
     def from_coeffs(coeffs) -> IntPoly:
@@ -315,6 +332,7 @@ def divides(d: IntPoly, p: IntPoly) -> DivisionResult:
     rational quotient, returns the primitive integer form together with
     the rational content, so p = d * content * quotient.
     """
+    from fractions import Fraction
     quo, rem, lam = pseudo_divmod(p, d)
     if not rem.is_zero:
         return DivisionResult(None, False, Fraction(1))

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 MILLER_RABIN_ROUNDS = 40
 TRIAL_DIVISION_LIMIT = 1000
@@ -294,12 +294,11 @@ def sqrt_mod(a: int, m: int) -> list[int]:
     return sorted(roots)
 
 
-@dataclass
-class NaturalFactorization:
+class NaturalFactorization(NamedTuple):
     """Partial factorization: product of prime**exp terms times an
     unfactored cofactor (1 when the factorization is complete)."""
 
-    factors: list[tuple[int, int]] = field(default_factory=list)
+    factors: list[tuple[int, int]] = []  # shared by default-built values: read only
     cofactor: int = 1
 
     @property

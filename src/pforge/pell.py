@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -21,13 +20,32 @@ from .numtheory import factorize, is_perfect_square, sqrt_mod, squarefree_decomp
 DEFAULT_MAX_PERIOD = 10**7
 
 
-@dataclass(frozen=True)
 class QuadraticInteger:
-    """a + b*sqrt(dprime) with integer a, b and dprime a positive non-square."""
+    """a + b*sqrt(dprime) with integer a, b and dprime a positive non-square.
+    Immutable and hashable; not a tuple, so * and ** stay arithmetic."""
 
-    a: int
-    b: int
-    dprime: int
+    __slots__ = ("a", "b", "dprime")
+
+    def __init__(self, a: int, b: int, dprime: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "dprime", dprime)
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"QuadraticInteger is immutable: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, QuadraticInteger) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.dprime))
+
+    def __repr__(self) -> str:
+        return f"QuadraticInteger(a={self.a!r}, b={self.b!r}, dprime={self.dprime!r})"
+
+    def __reduce__(self):
+        return QuadraticInteger, (self.a, self.b, self.dprime)
 
     def norm(self) -> int:
         return self.a * self.a - self.dprime * self.b * self.b
@@ -76,8 +94,7 @@ def _require_nonsquare(dprime: int) -> None:
         raise ValueError(f"radicand {dprime} is a perfect square")
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Periodic continued fraction of sqrt(dprime): [a0; overline(a1..aL)]."""
 
     dprime: int
@@ -272,12 +289,7 @@ def congruence_unit(a: int, dprime: int) -> CongruenceUnit:
     return CongruenceUnit(unit**m, m)
 
 
-@dataclass(frozen=True)
-class PellProblem:
-    """The norm equation with its congruence constraints: solutions (u, v)
-    with u**2 - dprime*v**2 = t_value, u = residue_u mod modulus_u and
-    v = residue_v mod modulus_v."""
-
+class _PellFields(NamedTuple):
     dprime: int
     t_value: int
     modulus_u: int = 1
@@ -285,14 +297,23 @@ class PellProblem:
     modulus_v: int = 1
     residue_v: int = 0
 
-    def __post_init__(self):
+
+class PellProblem(_PellFields):
+    """The norm equation with its congruence constraints: solutions (u, v)
+    with u**2 - dprime*v**2 = t_value, u = residue_u mod modulus_u and
+    v = residue_v mod modulus_v.  The residues are stored reduced."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_nonsquare(self.dprime)
         if self.t_value == 0:
             raise ValueError("T must be nonzero")
         if self.modulus_u < 1 or self.modulus_v < 1:
             raise ValueError("moduli must be positive")
-        object.__setattr__(self, "residue_u", self.residue_u % self.modulus_u)
-        object.__setattr__(self, "residue_v", self.residue_v % self.modulus_v)
+        mu, mv = self.modulus_u, self.modulus_v
+        return self._replace(residue_u=self.residue_u % mu, residue_v=self.residue_v % mv)
 
     def satisfied_by(self, u: int, v: int) -> bool:
         return (

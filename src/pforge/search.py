@@ -10,8 +10,7 @@ the record cap."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
@@ -21,8 +20,7 @@ from .numtheory import squarefree_decompose
 from .pell import enumerate_solutions, reduce_quadratic
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     family: str
     d_min: int = 0
     d_max: int = -1
@@ -33,13 +31,19 @@ class SearchConfig:
     max_u_bits: int = 128
     max_records: int = 10**6
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_u_bits < 16:
             raise ValueError("max_u_bits must be at least 16")
         if self.q_bits_min > self.q_bits_max or self.q_bits_min < 1:
             raise ValueError("invalid q-bits range")
         if self.max_records < 1:
             raise ValueError("the record cap must be positive")
+        return self
 
     def q_bits_ok(self, q: int) -> bool:
         return self.q_bits_min <= q.bit_length() <= self.q_bits_max
@@ -78,11 +82,11 @@ def split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
     config's: D chunks, or for a fixed-D family chunks of |x|."""
     if family_by_name(config.family).fixed_d is None:
         chunks = _split_range(config.d_min, config.d_max, parts)
-        return [replace(config, d_min=lo, d_max=hi) for lo, hi in chunks]
+        return [config._replace(d_min=lo, d_max=hi) for lo, hi in chunks]
     if config.x_max < config.x_min:
         return [config]
     chunks = _split_range(*_abs_bounds(config.x_min, config.x_max), parts)
-    return [replace(config, x_min=lo, x_max=hi) for lo, hi in chunks]
+    return [config._replace(x_min=lo, x_max=hi) for lo, hi in chunks]
 
 
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
@@ -145,36 +149,39 @@ def _candidates(
         yield d_value, (x for x, _ in points)
 
 
+def _floors(p: IntPoly, value: int) -> list[int]:
+    """Ascending integers, some extra, holding floor(r) for every real r with
+    p(r) = value (deg p >= 1): the cuts, found the same way for p' = 0, hold
+    those in [c, c + 1) and bound runs [c + 1, c'] on which p is strictly
+    monotone, bisected once each within the Cauchy bound of p - value."""
+    cuts = _floors(p.derivative(), 0) if p.degree > 1 else []
+    *low, top = (p - value).coeffs
+    bound = 2 + max(map(abs, low)) // abs(top)
+    floors = set(cuts)
+    for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
+        lo, hi = max(lo, -bound), min(hi, bound)
+        sign = 1 if p.evaluate(hi) >= p.evaluate(lo) else -1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if sign * (p.evaluate(mid) - value) <= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        floors.add(lo)
+    return sorted(floors)
+
+
+def integer_preimages(p: IntPoly, value: int) -> list[int]:
+    """Every integer x with p(x) = value, ascending, for p of degree >= 1."""
+    return [x for x in _floors(p, value) if p.evaluate(x) == value]
+
+
 def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:
-    """The integer x0 with q(x0) = q_value, if any: scan the turning-point
-    region, then bisect each monotone tail, the right one first."""
+    """The least integer x0 with q(x0) = q_value, if any."""
     qp = family.q
     if qp.leading_coefficient <= 0:
         raise ValueError("q polynomial must have positive leading coefficient")
-    dq = qp.derivative()
-    if dq.is_zero:
-        return None
-    # Cauchy bounds: every real turning point of q lies within |x| < turn,
-    # every real root of q - q_value within |x| < reach
-    turn = 1 + max(abs(c) for c in dq.coeffs) // abs(dq.leading_coefficient) + 1
-    for x in range(-turn, turn + 1):
-        if qp.evaluate(x) == q_value:
-            return x
-    *low, top = (qp - q_value).coeffs
-    reach = 2 + max(abs(c) for c in low) // top
-    for sign in (1, -1):
-        lo, hi = turn + 1, reach
-        increasing = qp.evaluate(sign * (lo + 1)) > qp.evaluate(sign * lo)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            value = qp.evaluate(sign * mid)
-            if value == q_value:
-                return sign * mid
-            if (value < q_value) == increasing:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-    return None
+    return min(integer_preimages(qp, q_value), default=None) if qp.degree > 0 else None
 
 
 def run_search(config: SearchConfig) -> list[CurveRecord]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -174,7 +175,7 @@ class TestSearchCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr("pforge.cli.os.cpu_count", lambda: cpus)
         out_one, out_many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
         assert main(["search", *family_args, "--out", str(out_one)]) in (EXIT_OK, EXIT_EMPTY)
@@ -244,6 +245,19 @@ class TestVerifyCommand:
         assert main(self.inline_args(EXAMPLE_149, family="freeman10")) == EXIT_OK
         data = json.loads(capsys.readouterr().out.strip())
         assert data["x0"] == "66980436970"
+
+    @pytest.mark.parametrize("family", ["mnt6+", "mnt4a"])
+    def test_family_recovery_picks_the_preimage_where_n_matches(self, family, capsys):
+        """These families' q takes each value at two x (q(x) = q(-x) for
+        mnt6+), with different n: a record from either x verifies."""
+        fam = pforge.family_by_name(family)
+        for x0 in (-2, 2, -5, 5, -45, 45):
+            q, n = fam.q.evaluate(x0), fam.n.evaluate(x0)
+            args = ["verify", "--q", str(q), "--n", str(n), "--k", str(fam.k), "--family", family]
+            main(args)
+            data = json.loads(capsys.readouterr().out.strip())
+            assert data["x0"] == str(x0)
+            assert not data["status"].startswith("REJECTED(n(x0) does not match")
 
     def test_perturbed_b_exit_four(self, capsys):
         bad = self.inline_args(EXAMPLE_149)
@@ -582,3 +596,36 @@ class TestUsage:
         assert main(["families"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "freeman10" in out and "bn12" in out
+
+
+def test_start_up_loads_only_what_every_run_needs():
+    """Importing the CLI and building the catalog loads none of the modules
+    that only some commands use (the process pool, fractions, datetime),
+    nor dataclasses and the inspect/ast machinery it brings."""
+    extras = ("dataclasses", "inspect", "concurrent.futures", "fractions", "datetime")
+    code = (
+        "import sys; before = set(sys.modules); import pforge.cli; "
+        "pforge.cli.builtin_catalog(); "
+        f"print(sorted(set(sys.modules) - before & {set(extras)!r}))"
+    )
+    src = os.path.dirname(os.path.dirname(pforge.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_value_types_reject_field_assignment():
+    from pforge.intpoly import IntPoly
+    from pforge.search import SearchConfig
+
+    for value, name in (
+        (CurveRecord(k=10, q=11, n=7, t=5), "q"),
+        (IntPoly((1, 2)), "coeffs"),
+        (SearchConfig("bn12"), "x_max"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, name)

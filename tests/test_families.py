@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -246,7 +245,7 @@ class TestInstantiate:
         for d_value in d_values:
             for x0 in range(-60, 61):
                 record = instantiate(fam, x0, d_value)
-                pending = replace(record, status=RecordStatus.PENDING, reason=None)
+                pending = record._replace(status=RecordStatus.PENDING, reason=None)
                 assert verify_record(pending) == record, (x0, d_value)
                 statuses.add(record.status)
         assert statuses == {RecordStatus.PRIME_OK, RecordStatus.REJECTED}

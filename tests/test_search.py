@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from pforge.search import (
     SearchConfig,
     _discriminants,
     _signed_range,
+    integer_preimages,
     quadratic_points,
     recover_x_from_q,
     run_search,
@@ -75,11 +77,38 @@ class TestRecoverXBruteForce:
             for x0 in [rng.randint(-60, 60) for _ in range(4)] + [-60, -13, 13, 60]:
                 a, b = sorted((qp.evaluate(x0), qp.evaluate(x0 + 1)))
                 for value in {qp.evaluate(x0), a + 1, (a + b) // 2, b - 1}:
+                    want = sorted(preimages.get(value, ()))
+                    assert integer_preimages(qp, value) == want, (qp, value)
                     got = recover_x_from_q(fam, value)
-                    if value in preimages:
-                        assert got in preimages[value], (qp, value, got)
-                    else:
-                        assert got is None, (qp, value, got)
+                    assert got == (want[0] if want else None), (qp, value, got)
+
+    def test_turning_points_between_neighbouring_integers(self):
+        """q' has two roots between a pair of neighbouring integers c and
+        c + 1, around a root of q'', so the monotone runs of q must be cut at
+        c even where no sign change of q' shows at the integers."""
+        for coeffs, x0 in (
+            ([-5, 1152, -2184, 0, 1029], 0),
+            ([1, 0, 14580, 1620, -4860, 972], 2),
+            ([-1, 54000, 0, -54500, 0, 7500], 0),
+        ):
+            qp = IntPoly.from_coeffs(coeffs)
+            value = qp.evaluate(x0)
+            # every real root of q - value lies within |x| < 40 (Cauchy)
+            want = [x for x in range(-40, 41) if qp.evaluate(x) == value]
+            assert integer_preimages(qp, value) == want, (qp, value)
+            assert recover_x_from_q(SimpleNamespace(q=qp), value) == want[0]
+
+    def test_large_coefficients_take_bisections_not_a_scan(self):
+        """Bisection, not a scan of the region where q' may vanish: the work
+        grows with the bit size of the coefficients, not their size."""
+        qp = IntPoly.from_coeffs([1, 10**6, 1])
+        fam = SimpleNamespace(q=qp)
+        start = time.perf_counter()
+        for x0 in (-(10**6) - 7, -500000, -3, 0, 7, 10**15):
+            assert integer_preimages(qp, qp.evaluate(x0)) == sorted({x0, -(10**6) - x0})
+            assert recover_x_from_q(fam, qp.evaluate(x0)) == min(x0, -(10**6) - x0)
+        assert recover_x_from_q(fam, qp.evaluate(-500000) - 1) is None
+        assert time.perf_counter() - start < 0.1
 
 
 class TestSignedRange:
