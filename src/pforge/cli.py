@@ -23,9 +23,9 @@ from .families import (
     family_by_name,
     verify_family,
 )
-from .intpoly import IntPoly, parse_poly
+from .intpoly import IntPoly, integer_preimages, parse_poly
 from .pell import PellProblem, base_solutions, enumerate_solutions, fundamental_unit
-from .search import SearchConfig, integer_preimages, quadratic_points, run_search, split_search
+from .search import SearchConfig, quadratic_points, run_search, split_search
 
 SCHEMA_VERSION = "1"
 

@@ -1,7 +1,8 @@
 """Polynomial curve families: the built-in catalog (MNT k=3/4/6, the k=10
-family, BN k=12), the family-condition verifier, f = 4q - t**2
-classification, the feasibility analyzer, and the k=10 discriminant filter.
-"""
+family, BN k=12), the family-condition verifier and its irreducibility
+test (a rational root by integer root isolation, then from degree 4 a capped
+quadratic-factor search, the one part that can answer None), f = 4q - t**2
+classification, the feasibility analyzer, and the k=10 discriminant filter."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .curve import CurveRecord, verify_record
-from .intpoly import IntPoly, classify_square_part, cyclotomic, divides, parse_poly
-from .numtheory import euler_phi, factorize, is_perfect_square, squarefree_decompose
+from .intpoly import (
+    IntPoly, classify_square_part, cyclotomic, divides, integer_preimages, parse_poly,
+)
+from .numtheory import divisors, euler_phi, squarefree_decompose
 
 FACTOR_SEARCH_CAP = 10**6
 
@@ -70,44 +73,21 @@ def compute_f(t: IntPoly, q: IntPoly) -> IntPoly:
     return 4 * q - t * t
 
 
-def _divisors_of(m: int) -> list[int] | None:
-    """All positive divisors, or None when m does not factor completely."""
-    fac = factorize(abs(m))
-    if not fac.complete:
-        return None
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
-def _rational_root_exists(p: IntPoly) -> bool | None:
-    """Rational root test on a primitive polynomial; None when the divisor
-    enumeration is infeasible."""
-    if p.coefficient(0) == 0:
-        return True
-    num_divs = _divisors_of(p.coefficient(0))
-    den_divs = _divisors_of(p.leading_coefficient)
-    if num_divs is None or den_divs is None:
-        return None
-    for s in den_divs:
-        for r in num_divs:
-            for root_num in (r, -r):
-                # p(root_num / s) = 0 iff sum a_i root_num^i s^(deg-i) = 0
-                acc = 0
-                for i in range(p.degree, -1, -1):
-                    acc = acc * root_num + p.coefficient(i) * s ** (p.degree - i)
-                if acc == 0:
-                    return True
-    return False
+def _has_rational_root(p: IntPoly) -> bool:
+    """Whether p, of degree >= 1, has a rational root: r is one exactly when
+    lc * r is an integer root of the monic lc**(d-1) * p(y / lc)."""
+    lc, d = p.leading_coefficient, p.degree
+    monic = IntPoly(tuple(c * lc ** (d - 1 - i) for i, c in enumerate(p.coeffs[:-1])) + (1,))
+    return bool(integer_preimages(monic, 0))
 
 
 def _quadratic_factor_exists(p: IntPoly) -> bool | None:
     """Search for a degree-2 factor of a primitive polynomial by bounded
-    coefficient enumeration (Mignotte-style bound on the middle term)."""
-    lead_divs = _divisors_of(p.leading_coefficient)
-    const_divs = _divisors_of(p.coefficient(0))
-    if lead_divs is None or const_divs is None:
+    coefficient enumeration (Mignotte-style bound on the middle term);
+    None when lc or p(0) does not factor or the search passes its cap."""
+    try:
+        lead_divs, const_divs = divisors(p.leading_coefficient), divisors(abs(p.coefficient(0)))
+    except ValueError:
         return None
     norm2 = math.isqrt(sum(c * c for c in p.coeffs)) + 1
     v_bound = 2 * norm2
@@ -124,29 +104,22 @@ def _quadratic_factor_exists(p: IntPoly) -> bool | None:
 
 
 def is_irreducible_over_q(p: IntPoly) -> bool | None:
-    """Irreducibility over the rationals.
-
-    Complete for degree <= 5 (a factorization there forces a factor of
-    degree <= 2).  Beyond that only reducibility can be certified, and
-    None means undecided.
-    """
+    """Irreducibility over the rationals: a rational root, found by integer
+    root isolation, means reducible, and none means irreducible up to degree
+    3.  From degree 4 a capped quadratic-factor search follows, complete to
+    degree 5; only it answers None, undecided: when lc or p(0) does not
+    factor, past its cap, or when it finds no factor at degree >= 6."""
     prim = p.primitive_part()
-    if prim.degree < 1:
+    if prim.degree < 2:
+        return prim.degree == 1
+    if _has_rational_root(prim):
         return False
-    if prim.degree == 1:
+    if prim.degree <= 3:
         return True
-    if prim.degree == 2:
-        a2, a1, a0 = prim.coefficient(2), prim.coefficient(1), prim.coefficient(0)
-        return not is_perfect_square(a1 * a1 - 4 * a2 * a0)
-    root = _rational_root_exists(prim)
-    if root:
-        return False
     quad = _quadratic_factor_exists(prim)
     if quad:
         return False
-    if root is None or quad is None:
-        return None
-    return True if prim.degree <= 5 else None
+    return True if quad is False and prim.degree <= 5 else None
 
 
 def classify_f(f: IntPoly) -> tuple[FamilyClassification, IntPoly, IntPoly, int]:

@@ -3,7 +3,8 @@
 Dense representation, constant term first.  Everything the rest of the
 package needs lives here: parsing/formatting of the canonical text form,
 evaluation, composition, cyclotomic polynomials, divisibility over the
-rationals, and the square-part decomposition f = content * g**2 * h.
+rationals, the square-part decomposition f = content * g**2 * h, and the
+integer solutions of p(x) = value by bisection.
 """
 
 from __future__ import annotations
@@ -279,7 +280,10 @@ def parse_poly(text: str) -> IntPoly:
             acc = acc - t if negative else acc + t
         return acc
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except RecursionError:
+        raise PolyParseError("parentheses nested too deeply", pos) from None
     if peek():
         raise PolyParseError(f"unexpected {src[pos]!r}", pos)
     return result
@@ -409,3 +413,37 @@ def classify_square_part(f: IntPoly) -> tuple[IntPoly, IntPoly, int]:
         if mult % 2:
             h = h * a
     return g, h * sign, content
+
+
+def _floors(p: IntPoly, value: int) -> list[int]:
+    """Ascending integers, some extra, holding floor(r) for every real r with
+    p(r) = value (deg p >= 1).  From the linear derivative of p up, each one
+    divided by its content: a level's floors, its cuts, hold the next level's
+    roots in [c, c + 1) and bound runs [c + 1, c'] where it is strictly
+    monotone, bisected once each within its Cauchy bound, beyond which no
+    floor is kept."""
+    chain = [(p, value)]
+    while chain[-1][0].degree > 1:
+        chain.append((chain[-1][0].derivative().primitive_part(), 0))
+    cuts: list[int] = []
+    for q, target in reversed(chain):
+        *low, top = (q.coeffs[0] - target, *q.coeffs[1:])
+        bound = 2 + max(map(abs, low)) // abs(top)
+        floors = set(cuts)
+        for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
+            lo, hi = max(lo, -bound), min(hi, bound)
+            sign = 1 if q.evaluate(hi) >= q.evaluate(lo) else -1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if sign * (q.evaluate(mid) - target) <= 0:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            floors.add(lo)
+        cuts = sorted(x for x in floors if -bound <= x <= bound)
+    return cuts
+
+
+def integer_preimages(p: IntPoly, value: int) -> list[int]:
+    """Every integer x with p(x) = value, ascending, for p of degree >= 1."""
+    return [x for x in _floors(p, value) if p.evaluate(x) == value]

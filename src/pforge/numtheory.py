@@ -1,5 +1,5 @@
 """Arbitrary-precision integer utilities: modular arithmetic, primality,
-quadratic residues, integer roots, bounded factorization.
+quadratic residues, integer roots, bounded factorization and divisors.
 
 Primality is probabilistic but conservative, and runs in three stages,
 cheapest first (the Baillie-Wagstaff ordering; Crandall-Pomerance, Prime
@@ -350,6 +350,18 @@ def factorize(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> NaturalFactorization
                     rest = 1
                     break
     return NaturalFactorization(factors=factors, cofactor=rest)
+
+
+def divisors(m: int) -> list[int]:
+    """Every positive divisor of m >= 1, ascending.  Raises ValueError when
+    m does not factor completely."""
+    fac = factorize(m)
+    if not fac.complete:
+        raise ValueError(f"could not factor {m}")
+    out = [1]
+    for p, e in fac.factors:
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def squarefree_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int, bool]:

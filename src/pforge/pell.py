@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CapacityError, ContractError
-from .numtheory import factorize, is_perfect_square, sqrt_mod, squarefree_decompose
+from .numtheory import divisors, is_perfect_square, sqrt_mod, squarefree_decompose
 
 DEFAULT_MAX_PERIOD = 10**7
 
@@ -207,13 +207,7 @@ def canonical_representative(z: QuadraticInteger, norm_one: QuadraticInteger) ->
 
 def _square_divisors(t_value: int) -> list[int]:
     """Every f >= 1 with f**2 | t_value."""
-    fac = factorize(abs(t_value))
-    if not fac.complete:
-        raise ValueError(f"could not factor T = {t_value}")
-    divisors = [1]
-    for p, e in fac.factors:
-        divisors = [f * p**k for f in divisors for k in range(e // 2 + 1)]
-    return divisors
+    return [f for f in divisors(abs(t_value)) if t_value % (f * f) == 0]
 
 
 def _lmm_solution(

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
 from .families import FamilyDescriptor, family_by_name, instantiate
-from .intpoly import IntPoly
+from .intpoly import IntPoly, integer_preimages
 from .numtheory import squarefree_decompose
 from .pell import enumerate_solutions, reduce_quadratic
 
@@ -147,33 +147,6 @@ def _candidates(
             continue
         _progress(f"D={d_value}, candidates={len(points)}")
         yield d_value, (x for x, _ in points)
-
-
-def _floors(p: IntPoly, value: int) -> list[int]:
-    """Ascending integers, some extra, holding floor(r) for every real r with
-    p(r) = value (deg p >= 1): the cuts, found the same way for p' = 0, hold
-    those in [c, c + 1) and bound runs [c + 1, c'] on which p is strictly
-    monotone, bisected once each within the Cauchy bound of p - value."""
-    cuts = _floors(p.derivative(), 0) if p.degree > 1 else []
-    *low, top = (p - value).coeffs
-    bound = 2 + max(map(abs, low)) // abs(top)
-    floors = set(cuts)
-    for lo, hi in zip([-bound] + [c + 1 for c in cuts], cuts + [bound]):
-        lo, hi = max(lo, -bound), min(hi, bound)
-        sign = 1 if p.evaluate(hi) >= p.evaluate(lo) else -1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if sign * (p.evaluate(mid) - value) <= 0:
-                lo = mid
-            else:
-                hi = mid - 1
-        floors.add(lo)
-    return sorted(floors)
-
-
-def integer_preimages(p: IntPoly, value: int) -> list[int]:
-    """Every integer x with p(x) = value, ascending, for p of degree >= 1."""
-    return [x for x in _floors(p, value) if p.evaluate(x) == value]
 
 
 def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:

@@ -352,6 +352,25 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--t", "10x^^2", "--n", "x", "--k", "10"]) == EXIT_USAGE
         assert "position" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("opening", ["(", "x("])
+    def test_deep_nesting_exit_two(self, capsys, opening):
+        text = opening * 1000 + "x" + ")" * 1000
+        assert main(["analyze", "--t", text, "--n", "x^2+1", "--k", "4"]) == EXIT_USAGE
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_moderate_nesting_exits_with_a_contract_code(self):
+        # whether 200 levels parse depends on the interpreter's recursion
+        # limit; either way the run must not end in a traceback
+        text = "(" * 200 + "x" + ")" * 200
+        code = main(["analyze", "--t", text, "--n", "x^2+1", "--k", "4"])
+        assert code in (EXIT_OK, EXIT_USAGE)
+
+    def test_degree_above_the_recursion_limit(self, capsys):
+        # n = x^1024 + 2: its rational-root test isolates roots through
+        # 1,023 derivatives
+        assert main(["analyze", "--t", "x", "--n", "x^512x^512+2", "--k", "4"]) == EXIT_OK
+        assert "verdict: NO_FAMILY" in capsys.readouterr().out
+
     def test_inconsistent_q_exit_two(self, capsys):
         code = main(["analyze", "--t", "x+1", "--n", "x^2+1", "--q", "x^2+7", "--k", "4"])
         assert code == EXIT_USAGE
@@ -417,7 +436,7 @@ _FAMILIES = st.sampled_from(
 )
 _POLYS = st.sampled_from(
     ["x", "x+1", "2x+1", "-6x-1", "x^2+1", "6x^2+1", "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1",
-     "0", "1", "(x", "x^"]
+     "0", "1", "(x", "x^", "(" * 300 + "x" + ")" * 300]
 )
 # Each subcommand's flags with the values drawn for them; None marks a switch.
 _FLAGS = {
@@ -558,6 +577,7 @@ class TestExitCodeContract:
     @given(case=_cli_inputs())
     @example(case=(["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "0"], None))
     @example(case=(["verify"], ['{"k": "2", "q": "5", "n": "3", "d": "0"}']))
+    @example(case=(["analyze", "--t", "(" * 300 + "x" + ")" * 300, "--n", "x", "--k", "4"], None))
     @settings(max_examples=300, deadline=None)
     def test_any_input_exits_with_a_contract_code(self, case):
         """Argv drawn from the CLI's own vocabulary, with small values, and

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from pforge.numtheory import euler_phi, is_probable_prime
 
 from conftest import EXAMPLE_149
 
+
+_UNFACTORABLE = (10**19 + 51) * (10**19 + 33)
 
 CATALOG_NAMES = ["mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-", "freeman10", "bn12"]
 
@@ -158,6 +161,43 @@ class TestIrreducibility:
     def test_rational_root_with_denominator(self):
         # (2x - 1)(x^2 + x + 1): root 1/2 needs the denominator search
         assert is_irreducible_over_q(parse_poly("(2x-1)(x^2+x+1)")) is False
+
+    # _UNFACTORABLE = (10**19 + 51)(10**19 + 33) has no prime factor below
+    # the trial-division bound: these are decided without factoring p(0)
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x^3+1000000x+3", True),
+            (f"x^3+x+{_UNFACTORABLE}", True),
+            (f"(x-{_UNFACTORABLE})(x^3+x+1)", False),
+            (f"(7x-{_UNFACTORABLE})(x^2+1)", False),
+        ],
+    )
+    def test_decided_without_factoring(self, text, expected):
+        assert is_irreducible_over_q(parse_poly(text)) is expected
+
+    def test_agrees_with_sympy(self):
+        """Random primitive polynomials of degree 1-5, half of them products
+        of two random factors so that reducible ones, with roots p/q for
+        q > 1 among them, are common."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20)
+
+        def random_poly(degree):
+            low = [rng.randint(-6, 6) for _ in range(degree)]
+            return IntPoly.from_coeffs(low + [rng.choice([-1, 1]) * rng.randint(1, 6)])
+
+        x = sympy.Symbol("x")
+        for _ in range(400):
+            degree = rng.randint(1, 5)
+            if degree > 1 and rng.random() < 0.5:
+                split = rng.randint(1, degree - 1)
+                p = random_poly(split) * random_poly(degree - split)
+            else:
+                p = random_poly(degree)
+            p = p.primitive_part()
+            want = sympy.Poly(list(reversed(p.coeffs)), x).is_irreducible
+            assert is_irreducible_over_q(p) is want, p
 
 
 class TestAnalyzer:

@@ -57,6 +57,12 @@ class TestParsing:
         with pytest.raises(PolyParseError):
             parse_poly("x^100000")
 
+    @pytest.mark.parametrize("opening, shallow", [("(", "x"), ("x(", "x^21")])
+    def test_deep_nesting_is_a_parse_error(self, opening, shallow):
+        assert parse_poly(opening * 20 + "x" + ")" * 20) == parse_poly(shallow)
+        with pytest.raises(PolyParseError, match="nested too deeply"):
+            parse_poly(opening * 1000 + "x" + ")" * 1000)
+
     @given(small_polys)
     def test_format_parse_round_trip(self, p):
         assert parse_poly(str(p)) == p

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pforge import numtheory
 from pforge.numtheory import (
     NaturalFactorization,
+    divisors,
     euler_phi,
     factorize,
     first_composite,
@@ -495,3 +496,12 @@ class TestFactorization:
         for k in range(1, 200):
             brute = sum(1 for i in range(1, k + 1) if math.gcd(i, k) == 1)
             assert euler_phi(k) == brute
+
+    def test_divisors_match_brute_force(self):
+        for m in range(1, 2001):
+            assert divisors(m) == [d for d in range(1, m + 1) if m % d == 0], m
+
+    def test_divisors_of_an_unfactorable_value_raise(self):
+        # both primes are above the trial-division bound
+        with pytest.raises(ValueError, match="could not factor"):
+            divisors(1000003 * 1000033)

@@ -11,6 +11,7 @@ from pforge.pell import (
     PellProblem,
     QuadraticInteger,
     _pqa,
+    _square_divisors,
     base_solutions,
     canonical_representative,
     congruence_unit,
@@ -174,6 +175,12 @@ class TestBaseSolutions:
     def test_zero_t_rejected(self):
         with pytest.raises(ValueError):
             base_solutions(5, 0)
+
+    def test_square_divisors_match_brute_force(self):
+        for t_value in range(-300, 301):
+            if t_value:
+                want = [f for f in range(1, 18) if t_value % (f * f) == 0]
+                assert sorted(_square_divisors(t_value)) == want, t_value
 
     def test_large_t_brute_force_branch(self):
         # |T| >= sqrt(D'), classical bounded scan; cross-check exhaustively

@@ -7,12 +7,11 @@ import pytest
 
 from pforge.curve import RecordStatus, verify_record
 from pforge.families import family_by_name, filter_discriminant_k10
-from pforge.intpoly import IntPoly
+from pforge.intpoly import IntPoly, _floors, integer_preimages
 from pforge.search import (
     SearchConfig,
     _discriminants,
     _signed_range,
-    integer_preimages,
     quadratic_points,
     recover_x_from_q,
     run_search,
@@ -97,6 +96,26 @@ class TestRecoverXBruteForce:
             want = [x for x in range(-40, 41) if qp.evaluate(x) == value]
             assert integer_preimages(qp, value) == want, (qp, value)
             assert recover_x_from_q(SimpleNamespace(q=qp), value) == want[0]
+
+    def test_turning_point_floor_at_minus_the_cauchy_bound(self):
+        """q' = 6(2x^2 + 3x - 3) has a root at -2.19, whose floor -3 is minus
+        the Cauchy bound 2 + 3 // 2 of 2x^2 + 3x - 3; without that cut the
+        run below -1 holds q's local maximum and bisection misses x = -2."""
+        qp = IntPoly.from_coeffs([0, -18, 9, 4])
+        for value in range(-60, 80):
+            want = [x for x in range(-40, 41) if qp.evaluate(x) == value]
+            assert integer_preimages(qp, value) == want, value
+
+    def test_sparse_high_degree_keeps_few_floors(self):
+        """Every level of the derivative chain keeps only floors within its
+        own Cauchy bound, here |x| <= 3, rather than one more per level."""
+        x = IntPoly.x()
+        for qp in (x**300 + x**299 + 1, x**512 + 2, x**300 - x**299 - 2):
+            for value in (0, qp.evaluate(-1)):
+                floors = _floors(qp, value)
+                assert set(floors) <= set(range(-3, 4)), (qp, floors)
+                want = [x0 for x0 in floors if qp.evaluate(x0) == value]
+                assert integer_preimages(qp, value) == want
 
     def test_large_coefficients_take_bisections_not_a_scan(self):
         """Bisection, not a scan of the region where q' may vanish: the work
