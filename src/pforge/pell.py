@@ -2,9 +2,11 @@
 
 One continued-fraction walk, `_pqa`, gives the period and fundamental unit
 of sqrt(D'), the Lagrange-Matthews-Mollin base-solution classes of any T,
-and, for T**2 < D', every solution directly (Lagrange).  On top sit the
-unit congruent to 1 modulo 2a that preserves solution congruences and the
-reduction of D*y**2 = f(x) (f quadratic) to a constrained norm equation.
+and, for T**2 < D', every solution directly (Lagrange); both solution walks
+run on plain ints and build a `QuadraticInteger` only for each solution
+returned.  On top sit the unit congruent to 1 modulo 2a that preserves
+solution congruences and the reduction of D*y**2 = f(x) (f quadratic) to
+a constrained norm equation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityError, ContractError
 from .numtheory import divisors, is_perfect_square, sqrt_mod, squarefree_decompose
@@ -415,43 +417,6 @@ def solutions(
     return out
 
 
-_Bound = Callable[[QuadraticInteger], bool]
-
-
-def _convergent_solutions(dprime: int, t_value: int, within: _Bound) -> list[QuadraticInteger]:
-    """For t_value**2 < dprime: g * (p, q) for each convergent p/q of
-    sqrt(dprime) with p**2 - dprime*q**2 = t_value / g**2, while `within`
-    holds for (p, q)."""
-    scales = {t_value // (g * g): g for g in _square_divisors(t_value)}
-    found = []
-    for i, (_, _, q, p, v) in enumerate(_pqa(0, 1, dprime)):
-        if not within(QuadraticInteger(p, v, dprime)):
-            return found
-        g = scales.get((-1) ** i * q)
-        if g is not None and within(z := QuadraticInteger(g * p, g * v, dprime)):
-            found.append(z)
-
-
-def _class_solutions(
-    dprime: int, t_value: int, within: _Bound, max_steps: int | None
-) -> list[QuadraticInteger]:
-    """rep * unit**k, k >= 0, for each base-solution class while `within`
-    holds, at most max_steps per class when given; one element per
-    (|u|, |v|).  |u| grows with k from the canonical rep, and the k < 0
-    elements are, up to sign, the conjugates of the k > 0 elements of the
-    conjugate class, which base_solutions also returns."""
-    unit = fundamental_unit(dprime).norm_one
-    found: dict[tuple[int, int], QuadraticInteger] = {}
-    for rep in base_solutions(dprime, t_value):
-        z = rep
-        for _ in itertools.count() if max_steps is None else range(max_steps):
-            if not within(z):
-                break
-            found.setdefault((abs(z.a), abs(z.b)), z)
-            z = z * unit
-    return list(found.values())
-
-
 def enumerate_solutions(
     dprime: int,
     t_value: int,
@@ -465,10 +430,13 @@ def enumerate_solutions(
 
     When t_value**2 < dprime, every solution with gcd(u, v) = g is g times
     a convergent of sqrt(dprime) of norm t_value / g**2 (Lagrange), so one
-    walk of the convergents finds them all.  Otherwise each base-solution
-    class is walked by the norm-one unit, at most max_steps_per_class
-    elements per class when given.  Sign variants (+-u, +-v) are folded;
-    consumers re-expand as needed.
+    walk of the convergents, up to the first outside the limits, finds them
+    all.  Otherwise each base-solution class is walked up from its canonical
+    rep by the norm-one unit, at most max_steps_per_class elements per class
+    when given; |u| grows along the walk, and the elements below the rep
+    are, up to sign, the conjugates of those above the rep of the conjugate
+    class, which base_solutions also returns.  Sign variants (+-u, +-v) are
+    folded; consumers re-expand as needed.
     """
     _require_nonsquare(dprime)
     if t_value == 0:
@@ -476,13 +444,29 @@ def enumerate_solutions(
     if v_limit is None and u_bit_limit is None:
         raise ValueError("enumerate_solutions needs v_limit or u_bit_limit")
 
-    def within(z: QuadraticInteger) -> bool:
-        return (v_limit is None or abs(z.b) <= v_limit) and (
-            u_bit_limit is None or abs(z.a).bit_length() <= u_bit_limit
+    def within(u: int, v: int) -> bool:
+        return (v_limit is None or abs(v) <= v_limit) and (
+            u_bit_limit is None or abs(u).bit_length() <= u_bit_limit
         )
 
+    found: dict[tuple[int, int], tuple[int, int]] = {}
     if t_value * t_value < dprime:
-        found = _convergent_solutions(dprime, t_value, within)
+        scales = {t_value // (g * g): g for g in _square_divisors(t_value)}
+        for i, (_, _, q, p, b) in enumerate(_pqa(0, 1, dprime)):
+            if not within(p, b):
+                break
+            g = scales.get((-1) ** i * q)
+            if g is not None and within(u := g * p, v := g * b):
+                found.setdefault((abs(u), abs(v)), (u, v))
     else:
-        found = _class_solutions(dprime, t_value, within, max_steps_per_class)
-    return sorted(found, key=lambda z: abs(z.a))
+        ua, ub = fundamental_unit(dprime).norm_one.pair()
+        for rep in base_solutions(dprime, t_value):
+            u, v = rep.pair()
+            steps = itertools.count() if max_steps_per_class is None else range(max_steps_per_class)
+            for _ in steps:
+                if not within(u, v):
+                    break
+                found.setdefault((abs(u), abs(v)), (u, v))
+                u, v = u * ua + dprime * v * ub, u * ub + v * ua
+    # |u| and the norm fix |v|, so the keys sort in |u| order with no ties
+    return [QuadraticInteger(u, v, dprime) for _, (u, v) in sorted(found.items())]

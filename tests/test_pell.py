@@ -266,8 +266,6 @@ class TestEnumeration:
     @pytest.mark.parametrize("dprime", [2, 13, 61, 409, 661, 1021])
     @pytest.mark.parametrize("t_value", [1, -1, -20, 4, -4])
     def test_oracle_equality(self, dprime, t_value):
-        if t_value * t_value >= dprime:
-            return
         got = {
             (abs(z.a), abs(z.b))
             for z in enumerate_solutions(dprime, t_value, v_limit=10**4, max_steps_per_class=10**6)
@@ -294,13 +292,14 @@ LAGRANGE_DPRIMES = [
 
 
 def scan_solutions(dprime, t_values, bits):
-    """{T: every (u >= 0, v >= 0) with u**2 - dprime*v**2 = T, u < 2**bits}
-    for |T| <= 20: |u - v sqrt(dprime)| = |T| / (u + v sqrt(dprime)), so a
-    float64 pass over every v in range keeps each v within 21 / (v
+    """{T: every (u >= 0, v >= 0) with u**2 - dprime*v**2 = T, u < 2**bits}:
+    |u - v sqrt(dprime)| = |T| / (u + v sqrt(dprime)), so a float64 pass
+    over every v in range keeps each v within (max |T| + 1) / (v
     sqrt(dprime)) of an integer, and those v are checked exactly."""
     v = np.arange(1, math.isqrt((1 << 2 * bits) // dprime) + 2, dtype=np.float64)
     s = v * math.sqrt(dprime)
-    near = np.flatnonzero(np.abs(s - np.rint(s)) <= 21 / s + 1e-5) + 1
+    slack = max(abs(t) for t in t_values) + 1
+    near = np.flatnonzero(np.abs(s - np.rint(s)) <= slack / s + 1e-5) + 1
     out = {t_value: set() for t_value in t_values}
     for vi in [0, *near.tolist()]:
         for t_value in t_values:
@@ -336,6 +335,45 @@ class TestLagrangeEnumeration:
     def test_limit_required(self):
         with pytest.raises(ValueError):
             enumerate_solutions(645, -20)
+
+
+# non-square D' <= 150 with the T of CLASS_T for which T**2 >= D'
+CLASS_T = (4, -20, 384)
+CLASS_CASES = [
+    (dprime, [t for t in CLASS_T if t * t >= dprime])
+    for dprime in range(2, 151)
+    if math.isqrt(dprime) ** 2 != dprime
+]
+
+
+class TestClassEnumeration:
+    """T**2 >= D': each base-solution class walked by the norm-one unit."""
+
+    def test_against_exhaustive_scan(self):
+        checked = 0
+        for dprime, t_values in CLASS_CASES:
+            expected = scan_solutions(dprime, t_values, 20)
+            for t_value in t_values:
+                got = [
+                    (abs(z.a), abs(z.b))
+                    for z in enumerate_solutions(dprime, t_value, u_bit_limit=20)
+                ]
+                assert [u for u, _ in got] == sorted(u for u, _ in got)
+                assert len(set(got)) == len(got)
+                assert set(got) == expected[t_value], (dprime, t_value)
+                checked += 1
+        assert checked >= 250
+
+    def test_one_step_per_class_gives_the_reps(self):
+        for dprime, t_values in CLASS_CASES:
+            for t_value in t_values:
+                want = {
+                    (abs(z.a), abs(z.b))
+                    for z in base_solutions(dprime, t_value)
+                    if abs(z.a).bit_length() <= 20
+                }
+                got = enumerate_solutions(dprime, t_value, u_bit_limit=20, max_steps_per_class=1)
+                assert {(abs(z.a), abs(z.b)) for z in got} == want, (dprime, t_value)
 
 
 class TestBaseSolutionsOracle:

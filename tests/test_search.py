@@ -167,6 +167,15 @@ class TestSearchK10:
         assert record.x0 == 66980436970
         assert record.status is RecordStatus.PRIME_OK
 
+    def test_finds_example_196(self):
+        config = SearchConfig(
+            family="freeman10", d_min=EXAMPLE_196.d, d_max=EXAMPLE_196.d, max_u_bits=256
+        )
+        assert any(
+            r.q == EXAMPLE_196.q and r.n == EXAMPLE_196.n and r.status is RecordStatus.PRIME_OK
+            for r in run_search(config)
+        )
+
     def test_rejected_congruence_class_is_empty(self):
         config = SearchConfig(family="freeman10", d_min=44, d_max=44)
         assert run_search(config) == []
