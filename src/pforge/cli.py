@@ -20,6 +20,7 @@ from .families import (
     Verdict,
     analyze_feasibility,
     builtin_catalog,
+    d_classes,
     family_by_name,
     verify_family,
 )
@@ -354,8 +355,11 @@ def cmd_pell(args: argparse.Namespace) -> int:
 
 def cmd_families(_args: argparse.Namespace) -> int:
     for family in builtin_catalog():
-        fixed = f", fixed D = {family.fixed_d}" if family.fixed_d else ""
-        print(f"{family.name}: k = {family.k}, t = {family.t}, n = {family.n}, q = {family.q}{fixed}")
+        d_text = f"fixed D = {family.fixed_d}"
+        if not family.fixed_d:
+            modulus, residues = d_classes(family)
+            d_text = f"D = {', '.join(map(str, residues))} mod {modulus}"
+        print(f"{family.name}: k = {family.k}, t = {family.t}, n = {family.n}, q = {family.q}, {d_text}")
     return EXIT_OK
 
 

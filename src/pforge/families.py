@@ -2,7 +2,8 @@
 family, BN k=12), the family-condition verifier and its irreducibility
 test (a rational root by integer root isolation, then from degree 4 a capped
 quadratic-factor search, the one part that can answer None), f = 4q - t**2
-classification, the feasibility analyzer, and the k=10 discriminant filter."""
+classification, the feasibility analyzer, the admissible D classes of a
+family, and the k=10 discriminant filter."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .curve import CurveRecord, verify_record
 from .intpoly import (
     IntPoly, classify_square_part, cyclotomic, divides, integer_preimages, parse_poly,
 )
-from .numtheory import divisors, euler_phi, squarefree_decompose
+from .numtheory import divisors, euler_phi, factorize, squarefree_decompose
 
 FACTOR_SEARCH_CAP = 10**6
 
@@ -43,16 +44,6 @@ class FamilyDescriptor(NamedTuple):
     f: IntPoly
     classification: FamilyClassification
     fixed_d: int | None = None
-    # (modulus, residues) the search draws D from, which verify_family cannot
-    # derive: a restriction of the construction, left out of == and hash()
-    d_residues: tuple[int, tuple[int, ...]] | None = None
-
-    def __eq__(self, other):
-        return self[:-1] == other[:-1] if isinstance(other, FamilyDescriptor) else NotImplemented
-    __ne__ = object.__ne__
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
 
 class FeasibilityReport(NamedTuple):
@@ -148,14 +139,7 @@ def _fixed_d_from_square_form(h: IntPoly, content: int) -> int | None:
     return squarefree if complete else None
 
 
-def _describe(
-    t: IntPoly,
-    n: IntPoly,
-    q: IntPoly,
-    k: int,
-    name: str,
-    d_residues: tuple[int, tuple[int, ...]] | None = None,
-) -> FamilyDescriptor:
+def _describe(t: IntPoly, n: IntPoly, q: IntPoly, k: int, name: str) -> FamilyDescriptor:
     """The descriptor of a family whose conditions hold: f, its
     classification and, for the square form, the fixed D."""
     f = compute_f(t, q)
@@ -165,7 +149,6 @@ def _describe(
         fixed_d = _fixed_d_from_square_form(h, content)
     return FamilyDescriptor(
         name=name, k=k, t=t, n=n, q=q, f=f, classification=classification, fixed_d=fixed_d,
-        d_residues=d_residues,
     )
 
 
@@ -198,18 +181,13 @@ def verify_family(
 
 
 _CATALOG_SPEC = [
-    # name, k, t, n, q[, admissible D as (modulus, sorted residues)]
     ("mnt3+", 3, "-1+6x", "12x^2-6x+1", "12x^2-1"),
     ("mnt3-", 3, "-1-6x", "12x^2+6x+1", "12x^2-1"),
     ("mnt4a", 4, "-x", "x^2+2x+2", "x^2+x+1"),
     ("mnt4b", 4, "x+1", "x^2+1", "x^2+x+1"),
     ("mnt6+", 6, "1+2x", "4x^2-2x+1", "4x^2+1"),
     ("mnt6-", 6, "1-2x", "4x^2+2x+1", "4x^2+1"),
-    # the k = 10 construction needs D = 43 or 67 mod 120 (see filter_discriminant_k10)
-    (
-        "freeman10", 10, "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1", "25x^4+25x^3+25x^2+10x+3",
-        (120, (43, 67)),
-    ),
+    ("freeman10", 10, "10x^2+5x+3", "25x^4+25x^3+15x^2+5x+1", "25x^4+25x^3+25x^2+10x+3"),
     ("bn12", 12, "6x^2+1", "36x^4+36x^3+18x^2+6x+1", "36x^4+36x^3+24x^2+6x+1"),
 ]
 
@@ -217,8 +195,8 @@ _CATALOG_SPEC = [
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[FamilyDescriptor, ...]:
     return tuple(
-        _describe(parse_poly(t_text), parse_poly(n_text), parse_poly(q_text), k, name, *residues)
-        for name, k, t_text, n_text, q_text, *residues in _CATALOG_SPEC
+        _describe(parse_poly(t_text), parse_poly(n_text), parse_poly(q_text), k, name)
+        for name, k, t_text, n_text, q_text in _CATALOG_SPEC
     )
 
 
@@ -276,13 +254,30 @@ def analyze_feasibility(t: IntPoly, n: IntPoly, k: int) -> FeasibilityReport:
     )
 
 
+@lru_cache(maxsize=None)
+def d_classes(family: FamilyDescriptor) -> tuple[int, tuple[int, ...]]:
+    """(modulus, residues) holding the D of every point of D y**2 = f(x), f
+    quadratic, with q(x), n(x) prime: at each p | 2 lc(f) disc(f) lc(q), by
+    brute force mod m (8 for p = 2, else p), the D for which some x, y solve
+    it with p not dividing q(x) n(x).  The primes combine by CRT."""
+    f, q, n = family.f, family.q, family.n
+    a, b, c = f.coefficient(2), f.coefficient(1), f.coefficient(0)
+    local = {}
+    for p, _ in factorize(abs(2 * a * (b * b - 4 * a * c) * q.leading_coefficient)).factors:
+        m = 8 if p == 2 else p
+        values = {f.evaluate(x) % m for x in range(m) if q.evaluate(x) * n.evaluate(x) % p}
+        local[m] = {d for d in range(m) if values & {d * y * y % m for y in range(m)}}
+    modulus = math.prod(local)
+    return modulus, tuple(r for r in range(modulus) if all(r % m in ok for m, ok in local.items()))
+
+
 def filter_discriminant_k10(d_value: int) -> FilterDecision:
-    """Cheap k=10 discriminant sieve: D in freeman10's catalog classes
+    """Cheap k=10 discriminant sieve: D in freeman10's derived classes
     (43 or 67 mod 120, all coprime to 15, so 15D is square-free when D
     is) and D square-free; unverifiable square-freeness rejects."""
     if d_value < 1:
         return FilterDecision(False, "D must be positive")
-    modulus, residues = family_by_name("freeman10").d_residues
+    modulus, residues = d_classes(family_by_name("freeman10"))
     if d_value % modulus not in residues:
         allowed = " or ".join(map(str, residues))
         return FilterDecision(False, f"D mod {modulus} = {d_value % modulus}, not {allowed}")

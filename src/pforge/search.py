@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple
 
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
-from .families import FamilyDescriptor, family_by_name, instantiate
+from .families import FamilyDescriptor, d_classes, family_by_name, instantiate
 from .intpoly import IntPoly, integer_preimages
 from .numtheory import squarefree_decompose
 from .pell import enumerate_solutions, reduce_quadratic
@@ -91,8 +91,8 @@ def split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
 
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
     """Ascending square-free D in [d_min, d_max], striding over the
-    family's admissible residue classes when it has them."""
-    modulus, residues = family.d_residues or (1, (0,))
+    family's admissible residue classes (d_classes)."""
+    modulus, residues = d_classes(family)
     lo = max(d_min, 1)
     for block in range(lo - lo % modulus, d_max + 1, modulus):
         for residue in residues:

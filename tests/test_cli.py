@@ -24,6 +24,7 @@ from pforge.cli import (
     serialize_record,
 )
 from pforge.curve import CurveRecord, RecordStatus
+from pforge.families import d_classes
 
 from conftest import EXAMPLE_149, EXAMPLE_196
 
@@ -541,8 +542,10 @@ class TestExitCodeContract:
             (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(10**24 + 7)], None, EXIT_USAGE),
             (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(_SEMIPRIME_216)], None,
              EXIT_USAGE),
-            (["search", "--family", "mnt6+", "--d-min", str(_SEMIPRIME_216),
-              "--d-max", str(_SEMIPRIME_216)], None, EXIT_EMPTY),
+            # 1000003 * 1000033 = 19 (mod 24) lies in mnt6+'s D classes, and
+            # trial division up to 10^6 cannot split it
+            (["search", "--family", "mnt6+", "--d-min", str(1000003 * 1000033),
+              "--d-max", str(1000003 * 1000033)], None, EXIT_EMPTY),
             (["pell", "--dprime", "7", "--t", str(_SEMIPRIME_216)], None, EXIT_USAGE),
             (["analyze", "--t", "x", "--n", "x^2+1", "--k", str(_MERSENNE_PRODUCT)], None,
              EXIT_USAGE),
@@ -616,6 +619,15 @@ class TestUsage:
         assert main(["families"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "freeman10" in out and "bn12" in out
+        assert "D = 43, 67 mod 120" in out and "fixed D = 3" in out
+
+    def test_d_classes_not_derived_by_analyze(self, capsys):
+        """analyze runs verify_family on user input, whose disc(f) may hold
+        a large prime; only the search derives the D classes."""
+        d_classes.cache_clear()
+        argv = ["analyze", "--t", "10x^2+5x+3", "--n", "25x^4+25x^3+15x^2+5x+1", "--k", "10"]
+        assert main(argv + ["--d", "43"]) == EXIT_OK
+        assert d_classes.cache_info().misses == 0
 
 
 def test_start_up_loads_only_what_every_run_needs():

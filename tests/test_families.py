@@ -12,6 +12,7 @@ from pforge.families import (
     analyze_feasibility,
     builtin_catalog,
     compute_f,
+    d_classes,
     family_by_name,
     filter_discriminant_k10,
     instantiate,
@@ -19,7 +20,7 @@ from pforge.families import (
     verify_family,
 )
 from pforge.intpoly import IntPoly, cyclotomic, divides, parse_poly, poly_gcd
-from pforge.numtheory import euler_phi, is_probable_prime
+from pforge.numtheory import euler_phi, is_probable_prime, squarefree_decompose
 
 from conftest import EXAMPLE_149
 
@@ -241,6 +242,42 @@ class TestAnalyzer:
         assert rep.degree_check
         assert rep.f_classification is FamilyClassification.QUADRATIC_SQUAREFREE
         assert rep.verdict is Verdict.UNKNOWN_NEEDS_SOLUTION
+
+
+# The derived D classes of every norm-equation row, and how many x with
+# |x| <= 10^4 give q(x), n(x) prime (PRIME_OK without a D).
+_D_CLASSES = {
+    "mnt3+": ((24, (19,)), 816),
+    "mnt3-": ((24, (19,)), 816),
+    "mnt4a": ((24, (3, 11, 19)), 232),
+    "mnt4b": ((24, (3, 11, 19)), 232),
+    "mnt6+": ((24, (3, 11, 19)), 385),
+    "mnt6-": ((24, (3, 11, 19)), 385),
+    "freeman10": ((120, (43, 67)), 47),
+}
+
+
+class TestDClasses:
+    def test_every_norm_equation_row_is_pinned(self):
+        assert sorted(f.name for f in builtin_catalog() if f.fixed_d is None) == sorted(_D_CLASSES)
+
+    @pytest.mark.parametrize("name", sorted(_D_CLASSES))
+    def test_pinned(self, name):
+        assert d_classes(family_by_name(name)) == _D_CLASSES[name][0]
+
+    @pytest.mark.parametrize("name", sorted(_D_CLASSES))
+    def test_hold_the_d_of_every_small_record(self, name):
+        """Brute force: at each |x| <= 10^4 with q(x), n(x) prime, the
+        square-free part of f(x), the D of the point, lies in the classes."""
+        family = family_by_name(name)
+        modulus, residues = d_classes(family)
+        records = 0
+        for x in range(-10**4, 10**4 + 1):
+            if instantiate(family, x).status is RecordStatus.PRIME_OK:
+                d_value, _, complete = squarefree_decompose(family.f.evaluate(x))
+                assert complete and d_value % modulus in residues, (x, d_value)
+                records += 1
+        assert records == _D_CLASSES[name][1]
 
 
 class TestDiscriminantFilter:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pforge import search
 from pforge.curve import RecordStatus, verify_record
 from pforge.families import family_by_name, filter_discriminant_k10
 from pforge.intpoly import IntPoly, _floors, integer_preimages
@@ -328,10 +329,21 @@ class TestSearchMNT:
         assert run_search(SearchConfig(family="mnt6+", d_min=12, d_max=12)) == []
 
     def test_square_ad_rejected_with_reason(self, capsys):
-        # a = 12 for mnt3 branches; D = 3 makes aD = 36 square
-        assert run_search(SearchConfig(family="mnt3+", d_min=3, d_max=3)) == []
+        # a = 12 for mnt6+ (f = 12x^2 - 4x + 3); D = 3 makes aD = 36 square
+        assert run_search(SearchConfig(family="mnt6+", d_min=3, d_max=3)) == []
         err = capsys.readouterr().err
         assert err.startswith("D=3, skipped:") and "perfect square" in err
+        # mnt3+: f = 12x^2 + 12x - 5 = 1 (mod 3), so 3 divides no D of a
+        # point: D = 3 lies outside the classes and is never visited
+        assert run_search(SearchConfig(family="mnt3+", d_min=3, d_max=3)) == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name", ["mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-"])
+    def test_d_classes_drop_no_record(self, name, monkeypatch):
+        config = SearchConfig(family=name, d_min=1, d_max=1500)
+        derived = run_search(config)
+        monkeypatch.setattr(search, "d_classes", lambda family: (1, (0,)))
+        assert derived and run_search(config) == derived
 
 
 class TestRunSearch:
