@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import NamedTuple
@@ -26,7 +25,7 @@ from .families import (
 )
 from .intpoly import IntPoly, integer_preimages, parse_poly
 from .pell import PellProblem, base_solutions, enumerate_solutions, fundamental_unit
-from .search import SearchConfig, quadratic_points, run_search, split_search
+from .search import SearchConfig, quadratic_points, run_search
 
 SCHEMA_VERSION = "1"
 
@@ -86,14 +85,8 @@ def _at_least_one(name: str, value: int | None) -> int | None:
     return value
 
 
-def parse_record_line(line: str) -> RecordEnvelope:
-    data = json.loads(line)
-    if not isinstance(data, dict):
-        raise ValueError(f"record must be a JSON object, got {type(data).__name__}")
-    status_text = data.get("status", "PENDING")
-    if not isinstance(status_text, str):
-        raise ValueError(f"field 'status' must be a string, got {type(status_text).__name__}")
-    status, reason = _parse_status(status_text)
+def _record_from_fields(data: dict) -> CurveRecord:
+    """A PENDING record from named integer fields; t defaults to q + 1 - n."""
     for required in ("k", "q", "n"):
         if required not in data:
             raise ValueError(f"record is missing the {required!r} field")
@@ -102,7 +95,7 @@ def parse_record_line(line: str) -> RecordEnvelope:
         return _int_field(data, name) if name in data else None
 
     q, n = _int_field(data, "q"), _int_field(data, "n")
-    record = CurveRecord(
+    return CurveRecord(
         k=_at_least_one("embedding degree k", _int_field(data, "k")),
         q=q,
         n=n,
@@ -111,12 +104,20 @@ def parse_record_line(line: str) -> RecordEnvelope:
         x0=grab("x0"),
         a=grab("a"),
         b=grab("b"),
-        status=status,
-        reason=reason,
     )
+
+
+def parse_record_line(line: str) -> RecordEnvelope:
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"record must be a JSON object, got {type(data).__name__}")
+    status_text = data.get("status", "PENDING")
+    if not isinstance(status_text, str):
+        raise ValueError(f"field 'status' must be a string, got {type(status_text).__name__}")
+    status, reason = _parse_status(status_text)
     return RecordEnvelope(
         schema_version=data.get("schema_version", SCHEMA_VERSION),
-        record=record,
+        record=_record_from_fields(data)._replace(status=status, reason=reason),
         provenance=data.get("provenance", {}),
     )
 
@@ -179,19 +180,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_u_bits=args.max_u_bits,
         max_records=args.max_records,
     )
-    configs = split_search(config, _at_least_one("--workers", args.workers))
-
-    if len(configs) > 1:
-        import concurrent.futures  # here: loading it is a sizeable share of start-up
-        # a pool that forks starts all of its processes at the first submit
-        workers = min(len(configs), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = [record for batch in pool.map(run_search, configs) for record in batch]
-    else:
-        records = run_search(config)
-
-    records.sort(key=lambda r: (r.d if r.d is not None else 0, r.x0 if r.x0 is not None else 0))
-    records = records[: config.max_records]
+    records = run_search(config, _at_least_one("--workers", args.workers))
     provenance = _provenance(args)
     _emit([serialize_record(r, provenance) for r in records], args.out)
     return EXIT_OK if records else EXIT_EMPTY
@@ -201,10 +190,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _inline_record(args: argparse.Namespace) -> CurveRecord:
-    q, n = args.q, args.n
-    t = args.t if args.t is not None else q + 1 - n
-    k, d = _at_least_one("embedding degree k", args.k), _at_least_one("discriminant D", args.d)
-    return CurveRecord(k=k, q=q, n=n, t=t, d=d, x0=args.x, a=args.a, b=args.b)
+    flags = {"x0" if name == "x" else name: getattr(args, name) for name in "kqntdxab"}
+    return _record_from_fields({name: value for name, value in flags.items() if value is not None})
 
 
 def _family_consistency(record: CurveRecord, family_name: str) -> CurveRecord:

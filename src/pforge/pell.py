@@ -97,11 +97,13 @@ def _require_nonsquare(dprime: int) -> None:
 
 
 class CFExpansion(NamedTuple):
-    """Periodic continued fraction of sqrt(dprime): [a0; overline(a1..aL)]."""
+    """Periodic continued fraction of sqrt(dprime): [a0; overline(a1..aL)],
+    and unit = (G_{L-1}, B_{L-1}), the convergent that ends the period."""
 
     dprime: int
     a0: int
     periodic: tuple[int, ...]
+    unit: tuple[int, int]
 
     @property
     def period(self) -> int:
@@ -137,10 +139,10 @@ def continued_fraction_sqrt(dprime: int, max_period: int = DEFAULT_MAX_PERIOD) -
     walk = _pqa(0, 1, dprime)
     a0 = next(walk)[0]
     quotients = []
-    for a, _, q, _, _ in walk:
+    for a, _, q, g, b in walk:
         quotients.append(a)
         if q == 1:
-            return CFExpansion(dprime, a0, tuple(quotients))
+            return CFExpansion(dprime, a0, tuple(quotients), (g, b))
         if len(quotients) >= max_period:
             raise CapacityError(
                 f"continued fraction of sqrt({dprime}) has period > {max_period}"
@@ -159,9 +161,7 @@ class FundamentalUnit(NamedTuple):
 def fundamental_unit(dprime: int) -> FundamentalUnit:
     """Fundamental unit of Z[sqrt(dprime)]: the convergent that ends the
     first period of the continued fraction."""
-    period = continued_fraction_sqrt(dprime).period
-    _, _, _, p, q = next(itertools.islice(_pqa(0, 1, dprime), period, None))
-    unit = QuadraticInteger(p, q, dprime)
+    unit = QuadraticInteger(*continued_fraction_sqrt(dprime).unit, dprime)
     if unit.norm() == 1:
         return FundamentalUnit(unit, unit)
     return FundamentalUnit(unit, unit * unit)

@@ -9,8 +9,9 @@ the record cap."""
 
 from __future__ import annotations
 
+import os
 import sys
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
@@ -77,7 +78,7 @@ def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return [(start, min(start + chunk - 1, hi)) for start in range(lo, hi + 1, chunk)]
 
 
-def split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
+def _split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
     """At most `parts` disjoint sub-searches whose records together are the
     config's: D chunks, or for a fixed-D family chunks of |x|."""
     if family_by_name(config.family).fixed_d is None:
@@ -133,9 +134,9 @@ def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, i
 
 def _candidates(
     family: FamilyDescriptor, config: SearchConfig
-) -> Iterator[tuple[int, Iterator[int]]]:
-    """(D, candidate x values) in search order: one pair for a fixed-D
-    family, else one per D, each D reported on stderr."""
+) -> Iterator[tuple[int, Iterable[int]]]:
+    """(D, candidate x values ascending), D ascending: one pair for a
+    fixed-D family, else one per D, each D reported on stderr."""
     if family.fixed_d is not None:
         yield family.fixed_d, _signed_range(config.x_min, config.x_max)
         return
@@ -146,7 +147,7 @@ def _candidates(
             _progress(f"D={d_value}, skipped: {exc}")
             continue
         _progress(f"D={d_value}, candidates={len(points)}")
-        yield d_value, (x for x, _ in points)
+        yield d_value, sorted(x for x, _ in points)
 
 
 def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:
@@ -157,12 +158,21 @@ def recover_x_from_q(family: FamilyDescriptor, q_value: int) -> int | None:
     return min(integer_preimages(qp, q_value), default=None) if qp.degree > 0 else None
 
 
-def run_search(config: SearchConfig) -> list[CurveRecord]:
-    """The PRIME_OK records of the family within the config's ranges, in
-    search order (x ascending for a fixed-D family, else D ascending, then
-    |u| ascending), stopping at max_records."""
+def run_search(config: SearchConfig, workers: int = 1) -> list[CurveRecord]:
+    """The first max_records PRIME_OK records of the family within the
+    config's ranges in (D, x0) order, for any `workers`: what `pforge search`
+    prints.  workers > 1 splits the ranges into at most that many parts, on
+    at most one process per CPU; each part stops at the cap, keeping a prefix."""
+    parts = _split_search(config, workers)
+    if len(parts) > 1:
+        import concurrent.futures  # here: loading it is a sizeable share of start-up
+        # a pool that forks starts all of its processes at the first submit
+        pool_size = min(len(parts), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+            records = [record for batch in pool.map(run_search, parts) for record in batch]
+        return sorted(records, key=lambda r: (r.d, r.x0))[: config.max_records]
     family = family_by_name(config.family)
-    records: list[CurveRecord] = []
+    records = []
     for d_value, xs in _candidates(family, config):
         for x in xs:
             record = instantiate(family, x, d_value)

@@ -29,6 +29,29 @@ from pforge.families import d_classes
 from conftest import EXAMPLE_149, EXAMPLE_196
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A process pool that maps in-process, so nothing is forked; the list
+    it returns collects the pool size of every pool started."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
 def _records_without_provenance(path) -> list[dict]:
     rows = []
     for line in path.read_text().splitlines():
@@ -157,34 +180,44 @@ class TestSearchCommand:
         ids=["two-d-values", "capped-by-cpus", "cpu-count-unknown"],
     )
     def test_pool_size_is_bounded_by_work_and_cpus(
-        self, tmp_path, monkeypatch, family_args, cpus, pool_size
+        self, tmp_path, monkeypatch, in_process_pool, family_args, cpus, pool_size
     ):
         """--workers 64 starts no more processes than there are chunks of
-        work or CPUs; the fake pool maps in-process, so nothing is forked."""
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr("pforge.cli.os.cpu_count", lambda: cpus)
+        work or CPUs."""
+        monkeypatch.setattr("pforge.search.os.cpu_count", lambda: cpus)
         out_one, out_many = tmp_path / "one.jsonl", tmp_path / "many.jsonl"
         assert main(["search", *family_args, "--out", str(out_one)]) in (EXIT_OK, EXIT_EMPTY)
-        assert not sizes
+        assert not in_process_pool
         code = main(["search", *family_args, "--workers", "64", "--out", str(out_many)])
         assert code in (EXIT_OK, EXIT_EMPTY)
-        assert sizes == [pool_size]
+        assert in_process_pool == [pool_size]
         assert _records_without_provenance(out_many) == _records_without_provenance(out_one)
+
+    @pytest.mark.parametrize(
+        "family_args, caps",
+        [
+            (["--family", "mnt3+", "--d-min", "1", "--d-max", "7800"], (1, 2, 3, 23, 24, 25)),
+            (["--family", "mnt4b", "--d-min", "1", "--d-max", "40"], (1,)),
+        ],
+        ids=["mnt3+", "mnt4b"],
+    )
+    def test_max_records_prints_a_prefix_for_any_workers(
+        self, tmp_path, in_process_pool, family_args, caps
+    ):
+        """--max-records N prints the first N records of the uncapped
+        output, for --workers 1, 2 and 3."""
+        out = tmp_path / "out.jsonl"
+
+        def search(*extra):
+            argv = ["search", *family_args, "--max-u-bits", "256", *extra, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            return _records_without_provenance(out)
+
+        uncapped = search()
+        for cap in caps:
+            for workers in ("1", "2", "3"):
+                capped = search("--max-records", str(cap), "--workers", workers)
+                assert capped == uncapped[:cap], (cap, workers)
 
     def test_pinned_search_reproduces_published_record(self, tmp_path):
         out = tmp_path / "pinned.jsonl"
@@ -259,6 +292,21 @@ class TestVerifyCommand:
             data = json.loads(capsys.readouterr().out.strip())
             assert data["x0"] == str(x0)
             assert not data["status"].startswith("REJECTED(n(x0) does not match")
+
+    @pytest.mark.parametrize(
+        "extra, status",
+        [
+            (["--n", "13", "--x", "5"], "REJECTED(recovered x0 = 2 differs from supplied 5)"),
+            (["--n", "11"], "REJECTED(n(x0) does not match n at x0 = -2)"),
+            (["--n", "13", "--t", "4"], "REJECTED(t(x0) does not match t at x0 = 2)"),
+        ],
+        ids=["x0-differs", "n-differs", "t-differs"],
+    )
+    def test_family_inconsistency_exit_four(self, capsys, extra, status):
+        # mnt6+ has q(2) = q(-2) = 17, n(2) = 13, t(2) = 5, n(-2) = 21
+        argv = ["verify", "--q", "17", "--k", "6", "--family", "mnt6+", *extra]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        assert json.loads(capsys.readouterr().out)["status"] == status
 
     def test_perturbed_b_exit_four(self, capsys):
         bad = self.inline_args(EXAMPLE_149)
@@ -335,6 +383,15 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert "witness for D = 43" in out
         assert "FAMILY_BY_THM2" in out
+
+    def test_freeman_no_witness_at_square_ad(self, capsys):
+        # a D = 15 * 15 is a square: D = 15 gives no real quadratic order
+        code = main(["analyze", "--t", "10x^2+5x+3", "--n", "25x^4+25x^3+15x^2+5x+1",
+                     "--k", "10", "--d", "15"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "no witness found for D = 15 within the search caps" in out
+        assert "verdict: UNKNOWN_NEEDS_SOLUTION" in out
 
     def test_bn(self, capsys):
         code = main(["analyze", "--t", "6x^2+1", "--n", "36x^4+36x^3+18x^2+6x+1",
@@ -533,6 +590,7 @@ class TestExitCodeContract:
             (["verify", "--in"], '{"k": "2", "q": "5", "n": "3", "d": "0"}', EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "0"], None, EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "-3"], None, EXIT_USAGE),
+            (["pell", "--dprime", "645"], None, EXIT_USAGE),
             (["search", "--family", "bn12", "--x-min", "1", "--x-max", "3",
               "--out", "/nonexistent/x.jsonl"], None, EXIT_USAGE),
             (["verify", "--q", "5", "--n", "3", "--k", "2", "--out", "/nonexistent/y.jsonl"],
@@ -555,7 +613,7 @@ class TestExitCodeContract:
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
             "record-k-zero", "inline-k-zero", "inline-k-negative",
             "inline-d-zero", "inline-d-negative", "record-d-zero",
-            "pell-count-zero", "pell-count-negative", "search-out-missing-dir",
+            "pell-count-zero", "pell-count-negative", "pell-t-missing", "search-out-missing-dir",
             "verify-out-missing-dir", "workers-zero", "workers-negative", "analyze-huge-k",
             "analyze-semiprime-k", "search-semiprime-d", "pell-semiprime-t",
             "analyze-float-overflow-k",

@@ -368,6 +368,11 @@ class TestRunSearch:
         for record in records:
             assert verify_record(record).status is RecordStatus.PRIME_OK
 
+    def test_cap_keeps_the_first_record_in_d_x0_order(self):
+        # D = 11 holds x0 = -6 and x0 = -2; the norm equation finds -2 first
+        config = SearchConfig("mnt4b", d_min=1, d_max=40, max_u_bits=256, max_records=1)
+        assert run_search(config)[0].x0 == -6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(family="freeman10", max_u_bits=8)
