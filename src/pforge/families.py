@@ -3,7 +3,7 @@ family, BN k=12), the family-condition verifier and its irreducibility
 test (a rational root by integer root isolation, then from degree 4 a capped
 quadratic-factor search, the one part that can answer None), f = 4q - t**2
 classification, the feasibility analyzer, the admissible D classes of a
-family, and the k=10 discriminant filter."""
+family, its small-prime sieve table, and the k=10 discriminant filter."""
 
 from __future__ import annotations
 
@@ -16,9 +16,11 @@ from .curve import CurveRecord, verify_record
 from .intpoly import (
     IntPoly, classify_square_part, cyclotomic, divides, integer_preimages, parse_poly,
 )
-from .numtheory import divisors, euler_phi, factorize, squarefree_decompose
+from .numtheory import _primes_below, divisors, euler_phi, factorize, squarefree_decompose
 
 FACTOR_SEARCH_CAP = 10**6
+# search.py drops a fixed-D x at which q(x) or n(x) has a prime factor below this
+SIEVE_LIMIT = 100
 
 
 class FamilyClassification(enum.Enum):
@@ -254,21 +256,43 @@ def analyze_feasibility(t: IntPoly, n: IntPoly, k: int) -> FeasibilityReport:
     )
 
 
+def _divisor_residues(family: FamilyDescriptor, p: int, m: int) -> set[int]:
+    """The x mod m, for a prime p dividing m, at which p divides q(x) n(x)."""
+    return {x for x in range(m) if family.q.evaluate(x) * family.n.evaluate(x) % p == 0}
+
+
 @lru_cache(maxsize=None)
 def d_classes(family: FamilyDescriptor) -> tuple[int, tuple[int, ...]]:
     """(modulus, residues) holding the D of every point of D y**2 = f(x), f
     quadratic, with q(x), n(x) prime: at each p | 2 lc(f) disc(f) lc(q), by
     brute force mod m (8 for p = 2, else p), the D for which some x, y solve
     it with p not dividing q(x) n(x).  The primes combine by CRT."""
-    f, q, n = family.f, family.q, family.n
+    f = family.f
     a, b, c = f.coefficient(2), f.coefficient(1), f.coefficient(0)
     local = {}
-    for p, _ in factorize(abs(2 * a * (b * b - 4 * a * c) * q.leading_coefficient)).factors:
+    for p, _ in factorize(abs(2 * a * (b * b - 4 * a * c) * family.q.leading_coefficient)).factors:
         m = 8 if p == 2 else p
-        values = {f.evaluate(x) % m for x in range(m) if q.evaluate(x) * n.evaluate(x) % p}
+        struck = _divisor_residues(family, p, m)
+        values = {f.evaluate(x) % m for x in range(m) if x not in struck}
         local[m] = {d for d in range(m) if values & {d * y * y % m for y in range(m)}}
     modulus = math.prod(local)
     return modulus, tuple(r for r in range(modulus) if all(r % m in ok for m, ok in local.items()))
+
+
+@lru_cache(maxsize=None)
+def sieve_table(family: FamilyDescriptor) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(bound, ((p, residues), ...)): for each prime p < SIEVE_LIMIT, the x
+    mod p at which p divides q(x) n(x), and a bound past which |q(x)| and
+    |n(x)| are at least SIEVE_LIMIT.  Such an x with x mod p among the
+    residues has q(x) or n(x) a multiple of p other than +-p, so not prime.
+    The bound is Cauchy's root bound of q - c and n - c, |c| < SIEVE_LIMIT."""
+    bound = max(
+        1 + max([*map(abs, poly.coeffs[1:-1]), abs(poly.coefficient(0)) + SIEVE_LIMIT - 1])
+        // abs(poly.leading_coefficient)
+        for poly in (family.q, family.n)
+    )
+    struck = {p: sorted(_divisor_residues(family, p, p)) for p in _primes_below(SIEVE_LIMIT)}
+    return bound, tuple((p, tuple(residues)) for p, residues in struck.items() if residues)
 
 
 def filter_discriminant_k10(d_value: int) -> FilterDecision:
@@ -295,15 +319,9 @@ def instantiate(
     """Evaluate the family at x0 (D defaults to the family's fixed D) and
     return verify_record's verdict on the record: PRIME_OK, or REJECTED
     naming the first failed check.  The embedding degree must be exactly
-    k: at a small x0, n can divide q**d - 1 for a proper divisor d of k."""
+    k: at a small x0, n can divide q**d - 1 for a proper divisor d of k.
+    n is taken as q + 1 - t, which the family conditions make n(x0)."""
     if d_value is None:
         d_value = family.fixed_d
-    record = CurveRecord(
-        k=family.k,
-        q=family.q.evaluate(x0),
-        n=family.n.evaluate(x0),
-        t=family.t.evaluate(x0),
-        d=d_value,
-        x0=x0,
-    )
-    return verify_record(record)
+    q, t = family.q.evaluate(x0), family.t.evaluate(x0)
+    return verify_record(CurveRecord(k=family.k, q=q, n=q + 1 - t, t=t, d=d_value, x0=x0))

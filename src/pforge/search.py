@@ -2,20 +2,23 @@
 recovery of x0 from a published field size.
 
 A family with a fixed D (f = 4q - t**2 a square times a linear factor) is
-searched by scanning x; any other family with quadratic f goes through the
-norm equation of D y**2 = f(x), for every square-free D in its admissible
-residue classes.  Both feed the same stage: instantiate, the q-bits range,
-the record cap."""
+searched by scanning x, sieved by the primes below SIEVE_LIMIT; any other
+family with quadratic f goes through the norm equation of D y**2 = f(x), for
+every square-free D in its admissible residue classes.  Both feed the same
+stage: the q-bits range, instantiate, the record cap."""
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .curve import CurveRecord, RecordStatus
 from .errors import CapacityError
-from .families import FamilyDescriptor, d_classes, family_by_name, instantiate
+from .families import (
+    SIEVE_LIMIT, FamilyDescriptor, d_classes, family_by_name, instantiate, sieve_table,
+)
 from .intpoly import IntPoly, integer_preimages
 from .numtheory import squarefree_decompose
 from .pell import enumerate_solutions, reduce_quadratic
@@ -50,6 +53,10 @@ class SearchConfig(_SearchFields):
         return self.q_bits_min <= q.bit_length() <= self.q_bits_max
 
 
+# x sieved at a time: a search over a huge x range holds one block in memory
+SIEVE_BLOCK = 1 << 16
+
+
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -61,13 +68,13 @@ def _abs_bounds(x_min: int, x_max: int) -> tuple[int, int]:
     return lo, max(abs(x_min), abs(x_max))
 
 
-def _signed_range(x_min: int, x_max: int) -> Iterator[int]:
-    """Ascending union of [x_min, x_max] and its mirror [-x_max, -x_min]."""
+def _signed_range(x_min: int, x_max: int) -> list[range]:
+    """Ascending union of [x_min, x_max] and its mirror [-x_max, -x_min], as
+    at most two runs of consecutive x."""
     if x_max < x_min:
-        return
+        return []
     lo, hi = _abs_bounds(x_min, x_max)
-    yield from range(-hi, -lo + 1)
-    yield from range(max(lo, 1), hi + 1)
+    return [range(-hi, -lo + 1), range(max(lo, 1), hi + 1)]
 
 
 def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -132,13 +139,49 @@ def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, i
     return points
 
 
+def _sieve_block(family: FamilyDescriptor, lo: int, hi: int) -> bytearray:
+    """keep[i] for x = lo + i in [lo, hi): 0 when |x| is past the sieve
+    table's bound and a prime below SIEVE_LIMIT divides q(x) n(x), else 1."""
+    bound, table = sieve_table(family)
+    keep = bytearray(b"\x01") * (hi - lo)
+    for p, residues in table:
+        for r in residues:
+            first = (r - lo) % p
+            keep[first::p] = bytes(len(range(first, hi - lo, p)))
+    small = range(max(lo, -bound), min(hi, bound + 1))
+    if small:
+        keep[small.start - lo : small.stop - lo] = b"\x01" * len(small)
+    return keep
+
+
+def _sieved(family: FamilyDescriptor, runs: list[range]) -> Iterator[int]:
+    """The x of the runs, ascending, that _sieve_block keeps, sieved
+    SIEVE_BLOCK x at a time.  When the walk ends, at its end or at the record
+    cap, stderr gets the number of x walked and of those the sieve dropped."""
+    walked = reached = kept = 0
+    try:
+        for run in runs:
+            for lo in range(run.start, run.stop, SIEVE_BLOCK):
+                hi = min(lo + SIEVE_BLOCK, run.stop)
+                for x in compress(range(lo, hi), _sieve_block(family, lo, hi)):
+                    kept, reached = kept + 1, walked + x + 1 - lo
+                    yield x
+                walked = reached = walked + hi - lo
+    finally:
+        _progress(
+            f"D={family.fixed_d}, x values={reached}, sieved={reached - kept} "
+            f"(q(x) or n(x) has a prime factor below {SIEVE_LIMIT})"
+        )
+
+
 def _candidates(
     family: FamilyDescriptor, config: SearchConfig
 ) -> Iterator[tuple[int, Iterable[int]]]:
     """(D, candidate x values ascending), D ascending: one pair for a
-    fixed-D family, else one per D, each D reported on stderr."""
+    fixed-D family, its x range sieved, else one per D, each D reported on
+    stderr."""
     if family.fixed_d is not None:
-        yield family.fixed_d, _signed_range(config.x_min, config.x_max)
+        yield family.fixed_d, _sieved(family, _signed_range(config.x_min, config.x_max))
         return
     for d_value in _discriminants(family, config.d_min, config.d_max):
         try:
@@ -175,8 +218,10 @@ def run_search(config: SearchConfig, workers: int = 1) -> list[CurveRecord]:
     records = []
     for d_value, xs in _candidates(family, config):
         for x in xs:
+            if not config.q_bits_ok(family.q.evaluate(x)):
+                continue
             record = instantiate(family, x, d_value)
-            if record.status is RecordStatus.PRIME_OK and config.q_bits_ok(record.q):
+            if record.status is RecordStatus.PRIME_OK:
                 records.append(record)
                 if len(records) >= config.max_records:
                     return records

@@ -144,6 +144,15 @@ class TestSearchCommand:
                      "--out", str(out)]) == EXIT_OK
         assert main(["verify", "--in", str(out)]) == EXIT_OK
 
+    def test_bn12_sieved_search_reports_the_sieve(self, tmp_path, capsys):
+        out = tmp_path / "bn.jsonl"
+        argv = ["search", "--family", "bn12", "--x-min", "-1000", "--x-max", "1000"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 61
+        assert capsys.readouterr().err == (
+            "D=3, x values=2001, sieved=1537 (q(x) or n(x) has a prime factor below 100)\n"
+        )
+
     def test_workers_merge_deterministically(self, tmp_path):
         args = ["search", "--family", "freeman10", "--d-min", "1", "--d-max", "3000",
                 "--q-bits", "1..96"]
@@ -159,8 +168,9 @@ class TestSearchCommand:
             ["--family", "bn12", "--x-min", "-20", "--x-max", "20"],
             ["--family", "bn12", "--x-min", "-60", "--x-max", "-7"],
             ["--family", "bn12", "--x-min", "3", "--x-max", "400", "--q-bits", "1..40"],
+            ["--family", "bn12", "--x-min", str(2**62), "--x-max", str(2**62 + 2999)],
         ],
-        ids=["mnt6+", "bn12-both-signs", "bn12-negative", "bn12-positive"],
+        ids=["mnt6+", "bn12-both-signs", "bn12-negative", "bn12-positive", "bn12-at-2^62"],
     )
     def test_workers_merge_deterministically_per_family(self, tmp_path, family_args):
         outputs = []
@@ -628,7 +638,9 @@ class TestExitCodeContract:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if code == EXIT_USAGE:
-            assert proc.stderr.startswith("error:")
+            # a search reports its progress (D=... lines) before its output fails
+            *progress, last = proc.stderr.splitlines()
+            assert last.startswith("error:") and all(line.startswith("D=") for line in progress)
         elif code == EXIT_EMPTY:
             assert "skipped: square-freeness could not be verified" in proc.stderr
         else:

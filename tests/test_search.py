@@ -4,14 +4,20 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pforge import search
-from pforge.curve import RecordStatus, verify_record
-from pforge.families import family_by_name, filter_discriminant_k10
+from pforge.curve import CurveRecord, RecordStatus, verify_record
+from pforge.families import (
+    SIEVE_LIMIT, builtin_catalog, family_by_name, filter_discriminant_k10, instantiate,
+    sieve_table,
+)
 from pforge.intpoly import IntPoly, _floors, integer_preimages
 from pforge.search import (
     SearchConfig,
     _discriminants,
+    _sieve_block,
     _signed_range,
     quadratic_points,
     recover_x_from_q,
@@ -131,27 +137,32 @@ class TestRecoverXBruteForce:
         assert time.perf_counter() - start < 0.1
 
 
+def _xs(x_min, x_max):
+    return [x for run in _signed_range(x_min, x_max) for x in run]
+
+
 class TestSignedRange:
     def test_overlapping(self):
-        assert list(_signed_range(0, 2)) == [-2, -1, 0, 1, 2]
+        assert _xs(0, 2) == [-2, -1, 0, 1, 2]
 
     def test_disjoint(self):
-        assert list(_signed_range(3, 5)) == [-5, -4, -3, 3, 4, 5]
+        assert _xs(3, 5) == [-5, -4, -3, 3, 4, 5]
 
     def test_empty(self):
-        assert list(_signed_range(5, 3)) == []
+        assert _xs(5, 3) == []
 
     def test_adjacent(self):
-        assert list(_signed_range(1, 4)) == [-4, -3, -2, -1, 1, 2, 3, 4]
+        assert _xs(1, 4) == [-4, -3, -2, -1, 1, 2, 3, 4]
 
     def test_negative_bounds(self):
-        assert list(_signed_range(-5, -3)) == [-5, -4, -3, 3, 4, 5]
+        assert _xs(-5, -3) == [-5, -4, -3, 3, 4, 5]
 
     def test_matches_definition(self):
         for x_min in range(-8, 9):
             for x_max in range(x_min - 1, 9):
                 expected = [x for x in range(-9, 10) if x_min <= x <= x_max or x_min <= -x <= x_max]
-                assert list(_signed_range(x_min, x_max)) == expected, (x_min, x_max)
+                assert _xs(x_min, x_max) == expected, (x_min, x_max)
+                assert len(_signed_range(x_min, x_max)) <= 2
 
 
 class TestSearchK10:
@@ -248,6 +259,129 @@ class TestSearchBN12:
         config = SearchConfig(family="bn12", x_min=0, x_max=3000, q_bits_min=30, q_bits_max=40)
         for record in run_search(config):
             assert 30 <= record.q.bit_length() <= 40
+
+
+_SIEVE_PRIMES = [p for p in range(2, SIEVE_LIMIT) if all(p % d for d in range(2, p))]
+
+
+def _unsieved(name, x_min, x_max):
+    """The oracle: every x of the signed range through verify_record, with
+    q, n and t each evaluated from the family, keeping PRIME_OK."""
+    fam = family_by_name(name)
+    records = (
+        verify_record(CurveRecord(
+            k=fam.k, q=fam.q.evaluate(x), n=fam.n.evaluate(x), t=fam.t.evaluate(x),
+            d=fam.fixed_d, x0=x,
+        ))
+        for x in _xs(x_min, x_max)
+    )
+    return [r for r in records if r.status is RecordStatus.PRIME_OK]
+
+
+class TestSieve:
+    def test_bn12_equals_unsieved_search(self, capsys):
+        records = run_search(SearchConfig("bn12", x_min=-1000, x_max=1000))
+        assert len(records) == 61
+        assert records == _unsieved("bn12", -1000, 1000)
+        assert capsys.readouterr().err == (
+            "D=3, x values=2001, sieved=1537 (q(x) or n(x) has a prime factor below 100)\n"
+        )
+
+    def test_blocks_of_any_size_give_the_same_walk(self, monkeypatch, capsys):
+        config = SearchConfig("bn12", x_min=-300, x_max=300)
+        whole = run_search(config)
+        err = capsys.readouterr().err
+        for block in (1, 7, 64):
+            monkeypatch.setattr(search, "SIEVE_BLOCK", block)
+            assert run_search(config) == whole
+            assert capsys.readouterr().err == err
+        assert whole == _unsieved("bn12", -300, 300)
+
+    @settings(max_examples=8, deadline=None)
+    @given(offset=st.integers(-(2**64), 2**64), width=st.integers(1, 4000))
+    @example(offset=-5, width=11)
+    @example(offset=2**62, width=4000)
+    @example(offset=-(2**64), width=4000)
+    def test_random_windows_equal_unsieved_search(self, offset, width):
+        x_max = offset + width - 1
+        assert run_search(SearchConfig("bn12", x_min=offset, x_max=x_max)) == _unsieved(
+            "bn12", offset, x_max
+        )
+
+    @pytest.mark.parametrize("family", builtin_catalog(), ids=lambda f: f.name)
+    def test_dropped_x_has_a_composite_value(self, family):
+        """Each x the sieve drops has q(x) or n(x) divisible by a prime below
+        SIEVE_LIMIT while at least SIEVE_LIMIT in absolute value; each x it
+        keeps past the bound has no such prime factor."""
+        bound, _ = sieve_table(family)
+        for lo in (-2000, 2**64 - 1000):
+            keep = _sieve_block(family, lo, lo + 2000)
+            for x, kept in zip(range(lo, lo + 2000), keep):
+                values = (family.q.evaluate(x), family.n.evaluate(x))
+                struck = [v for v in values for p in _SIEVE_PRIMES if v % p == 0]
+                if kept:
+                    assert abs(x) <= bound or not struck, x
+                else:
+                    assert any(abs(v) >= SIEVE_LIMIT for v in struck), x
+
+    @pytest.mark.parametrize("family", builtin_catalog(), ids=lambda f: f.name)
+    def test_values_pass_the_limit_beyond_the_bound(self, family):
+        bound, _ = sieve_table(family)
+        for x in [*range(-bound - 2000, -bound), *range(bound + 1, bound + 2001)]:
+            assert abs(family.q.evaluate(x)) >= SIEVE_LIMIT
+            assert abs(family.n.evaluate(x)) >= SIEVE_LIMIT
+
+    def test_small_prime_values_stay(self):
+        # q(-1) = 19, n(-1) = 13 and n(1) = 97 are prime: |x| <= 3 is not sieved
+        bound, table = sieve_table(family_by_name("bn12"))
+        assert bound == 3
+        residues = dict(table)
+        # the residues of x = -1 and x = 1: only the bound keeps them
+        assert 12 in residues[13] and 18 in residues[19] and 1 in residues[97]
+        assert list(_sieve_block(family_by_name("bn12"), -3, 4)) == [1] * 7
+
+    def test_capped_search_over_a_huge_range_stops_at_its_first_record(self, capsys):
+        start = time.perf_counter()
+        records = run_search(SearchConfig("bn12", x_min=10**15, x_max=10**18, max_records=1))
+        assert time.perf_counter() - start < 2
+        x0 = records[0].x0
+        # the walk starts at -10**18: no record lies before x0
+        assert [r.x0 for r in _unsieved("bn12", -x0, 10**18) if r.x0 <= x0] == [x0]
+        walked = x0 + 10**18 + 1
+        assert capsys.readouterr().err.startswith(f"D=3, x values={walked}, sieved=")
+
+    def test_q_bits_range_is_checked_before_primality(self):
+        config = SearchConfig(
+            "freeman10", d_min=EXAMPLE_149.d, d_max=EXAMPLE_149.d, max_u_bits=4096,
+            q_bits_min=100, q_bits_max=200,
+        )
+        start = time.perf_counter()
+        records = run_search(config)
+        assert time.perf_counter() - start < 1
+        assert [(r.q, r.n) for r in records] == [(EXAMPLE_149.q, EXAMPLE_149.n)]
+
+    _Q_BITS_CASES = {
+        "mnt6+": SearchConfig("mnt6+", d_min=1, d_max=2000, max_u_bits=256),
+        "freeman10": SearchConfig("freeman10", d_min=EXAMPLE_149.d, d_max=EXAMPLE_149.d,
+                                  max_u_bits=512),
+        "bn12": SearchConfig("bn12", x_min=-3000, x_max=3000),
+    }
+    _uncapped = {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_Q_BITS_CASES)), lo=st.integers(1, 160),
+        span=st.integers(0, 60), cap=st.integers(1, 200),
+    )
+    def test_early_q_bits_check_keeps_the_late_checks_records(self, name, lo, span, cap):
+        """The q-bits range, tested before instantiate, keeps the records
+        that filtering the uncapped output by q-bits and then capping keeps."""
+        config = self._Q_BITS_CASES[name]
+        if name not in self._uncapped:
+            self._uncapped[name] = run_search(config)
+        narrowed = config._replace(q_bits_min=lo, q_bits_max=lo + span, max_records=cap)
+        expected = [r for r in self._uncapped[name] if narrowed.q_bits_ok(r.q)][:cap]
+        assert run_search(narrowed) == expected
 
 
 class TestSearchMNT:
