@@ -19,6 +19,7 @@ from .families import (
     Verdict,
     analyze_feasibility,
     builtin_catalog,
+    compute_f,
     d_classes,
     family_by_name,
     verify_family,
@@ -263,7 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report = analyze_feasibility(t, n, args.k)
     outcome = verify_family(t, n, q, args.k)
-    f = 4 * q - t * t
+    f = compute_f(t, q)
     print(f"t(x) = {t}")
     print(f"n(x) = {n}")
     print(f"q(x) = {q}")
@@ -306,6 +307,9 @@ def _find_witness(f: IntPoly, d_value: int) -> tuple[int, int] | None:
 
 def cmd_pell(args: argparse.Namespace) -> int:
     _at_least_one("--count", args.count)
+    # before the unit, whose continued fraction can take hours to walk
+    if args.t is None and not args.fundamental_unit:
+        raise ValueError("--t is required unless --fundamental-unit is given")
     unit = fundamental_unit(args.dprime)
     cf_a, cf_b = unit.cf_unit.pair()
     one_a, one_b = unit.norm_one.pair()
@@ -313,8 +317,6 @@ def cmd_pell(args: argparse.Namespace) -> int:
     print(f"least norm-one unit: {one_a} + {one_b} sqrt({args.dprime})")
     if args.fundamental_unit:
         return EXIT_OK
-    if args.t is None:
-        raise ValueError("--t is required unless --fundamental-unit is given")
 
     mod_u, res_u = args.mod_u if args.mod_u else (1, 0)
     mod_v, res_v = args.mod_v if args.mod_v else (1, 0)

@@ -132,23 +132,29 @@ def classify_f(f: IntPoly) -> tuple[FamilyClassification, IntPoly, IntPoly, int]
     return FamilyClassification.INFEASIBLE_SIEGEL, g, h, content
 
 
-def _fixed_d_from_square_form(h: IntPoly, content: int) -> int | None:
-    """For f = (Ax + D) g**2, the square-free part of the constant D > 0."""
+def _classify_family(
+    t: IntPoly, q: IntPoly
+) -> tuple[IntPoly, FamilyClassification, int | None]:
+    """(f, classification, d_const): f = 4q - t**2 and its classification;
+    d_const is the constant D when f = (Ax + D) g**2 with D > 0, the form
+    whose parametric solutions fix D, else None."""
+    f = compute_f(t, q)
+    if f.is_zero:
+        raise ValueError("degenerate candidate: 4q - t^2 = 0")
+    classification, _, h, content = classify_f(f)
+    square_form = classification is FamilyClassification.LINEAR_TIMES_SQUARE
     d_const = content * h.coefficient(0)
-    if d_const <= 0:
-        return None
-    squarefree, _, complete = squarefree_decompose(d_const)
-    return squarefree if complete else None
+    return f, classification, d_const if square_form and d_const > 0 else None
 
 
 def _describe(t: IntPoly, n: IntPoly, q: IntPoly, k: int, name: str) -> FamilyDescriptor:
     """The descriptor of a family whose conditions hold: f, its
     classification and, for the square form, the fixed D."""
-    f = compute_f(t, q)
-    classification, _, h, content = classify_f(f)
+    f, classification, d_const = _classify_family(t, q)
     fixed_d = None
-    if classification is FamilyClassification.LINEAR_TIMES_SQUARE:
-        fixed_d = _fixed_d_from_square_form(h, content)
+    if d_const is not None:
+        squarefree, _, complete = squarefree_decompose(d_const)
+        fixed_d = squarefree if complete else None
     return FamilyDescriptor(
         name=name, k=k, t=t, n=n, q=q, f=f, classification=classification, fixed_d=fixed_d,
     )
@@ -224,7 +230,6 @@ def analyze_feasibility(t: IntPoly, n: IntPoly, k: int) -> FeasibilityReport:
     if n.is_zero:
         raise ValueError("n(x) must be nonzero")
     q = n + t - 1
-    f = compute_f(t, q)
     phi = euler_phi(k)
     degree_check = n.degree >= 1 and n.degree % phi == 0
     balance_check = 2 * t.degree == n.degree and n.degree == q.degree
@@ -234,17 +239,11 @@ def analyze_feasibility(t: IntPoly, n: IntPoly, k: int) -> FeasibilityReport:
         and n.leading_coefficient == lead_t * lead_t // 4
         and q.leading_coefficient == lead_t * lead_t // 4
     )
-    if f.is_zero:
-        raise ValueError("degenerate candidate: 4q - t^2 = 0")
-    classification, _, h, content = classify_f(f)
+    _, classification, d_const = _classify_family(t, q)
     if classification is FamilyClassification.INFEASIBLE_SIEGEL:
         verdict = Verdict.NO_FAMILY
-    elif classification is FamilyClassification.LINEAR_TIMES_SQUARE:
-        # f = (Ax + D) g^2 needs D > 0 for the parametric solutions
-        d_const = content * h.coefficient(0)
-        verdict = (
-            Verdict.FAMILY_BY_PROP_SQUARE if d_const > 0 else Verdict.UNKNOWN_NEEDS_SOLUTION
-        )
+    elif d_const is not None:
+        verdict = Verdict.FAMILY_BY_PROP_SQUARE
     else:
         verdict = Verdict.UNKNOWN_NEEDS_SOLUTION
     return FeasibilityReport(

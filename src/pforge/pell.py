@@ -312,10 +312,11 @@ class PellProblem(_PellFields):
         return self._replace(residue_u=self.residue_u % mu, residue_v=self.residue_v % mv)
 
     def satisfied_by(self, u: int, v: int) -> bool:
+        # the congruences first: a rejected pair skips the two big products
         return (
-            u * u - self.dprime * v * v == self.t_value
-            and u % self.modulus_u == self.residue_u
+            u % self.modulus_u == self.residue_u
             and v % self.modulus_v == self.residue_v
+            and u * u - self.dprime * v * v == self.t_value
         )
 
 
@@ -365,29 +366,6 @@ def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction
     return QuadraticReduction(problem, a, b, r)
 
 
-def _check_stream_contract(
-    problem: PellProblem, base: QuadraticInteger, unit: QuadraticInteger
-) -> None:
-    if base.norm() != problem.t_value:
-        raise ContractError(
-            f"base {base.pair()} has norm {base.norm()}, problem wants {problem.t_value}"
-        )
-    if base.a % problem.modulus_u != problem.residue_u:
-        raise ContractError(
-            f"base u = {base.a} is not {problem.residue_u} mod {problem.modulus_u}"
-        )
-    if base.b % problem.modulus_v != problem.residue_v:
-        raise ContractError(
-            f"base v = {base.b} is not {problem.residue_v} mod {problem.modulus_v}"
-        )
-    if unit.norm() != 1:
-        raise ContractError(f"step unit {unit.pair()} must have norm 1")
-    if unit.a % problem.modulus_u != 1 % problem.modulus_u or unit.b % problem.modulus_u != 0:
-        raise ContractError(
-            f"step unit {unit.pair()} is not congruent to 1 mod {problem.modulus_u}"
-        )
-
-
 def solutions(
     problem: PellProblem,
     base: QuadraticInteger,
@@ -396,22 +374,26 @@ def solutions(
 ) -> list[tuple[int, int]]:
     """The first `count` constrained solutions base * unit**n, n >= 0.
 
-    The congruences are preserved by construction; each output is checked
-    anyway, and |u| must not decrease (pass a canonical base).
+    The unit must have norm 1 and be congruent to 1 mod modulus_u; each
+    element, the base first, must satisfy the problem, and |u| must not
+    decrease (pass a canonical base).
     """
     if count < 1:
         raise ValueError("count must be positive")
-    _check_stream_contract(problem, base, unit)
+    if unit.norm() != 1:
+        raise ContractError(f"step unit {unit.pair()} must have norm 1")
+    if unit.a % problem.modulus_u != 1 % problem.modulus_u or unit.b % problem.modulus_u != 0:
+        raise ContractError(
+            f"step unit {unit.pair()} is not congruent to 1 mod {problem.modulus_u}"
+        )
     out: list[tuple[int, int]] = []
     z = base
-    prev_abs_u = None
     for _ in range(count):
         u, v = z.pair()
         if not problem.satisfied_by(u, v):
             raise ContractError(f"stream element {(u, v)} violates the problem constraints")
-        if prev_abs_u is not None and abs(u) < prev_abs_u:
-            raise ContractError("stream |u| decreased; base is not canonical")
-        prev_abs_u = abs(u)
+        if out and abs(u) < abs(out[-1][0]):
+            raise ContractError(f"stream |u| decreased at {(u, v)}; base is not canonical")
         out.append((u, v))
         z = z * unit
     return out

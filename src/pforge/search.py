@@ -131,10 +131,8 @@ def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, i
     points = []
     for z in halves:
         v = 2 * abs(z.b)
-        if v % problem.modulus_v != problem.residue_v:
-            continue
         for u in dict.fromkeys((2 * z.a, -2 * z.a)):
-            if u % problem.modulus_u == problem.residue_u:
+            if problem.satisfied_by(u, v):
                 points.append(reduction.to_xy(u, v))
     return points
 

@@ -476,6 +476,13 @@ class TestPellCommand:
     def test_no_solutions_exit_three(self):
         assert main(["pell", "--dprime", "3", "--t", "-1"]) == EXIT_EMPTY
 
+    def test_missing_t_exits_before_the_unit(self):
+        # the continued fraction of this sqrt(D') takes hours to walk, so the
+        # usage error must come before the fundamental unit
+        proc = _run_cli(["pell", "--dprime", "1000000000000000000000000000057"], timeout=10)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "--t is required" in proc.stderr
+
 
 def _run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(pforge.__file__))

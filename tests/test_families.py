@@ -236,6 +236,54 @@ class TestAnalyzer:
         assert classification is FamilyClassification.SQUARE_TIMES_QUADRATIC
         assert g == parse_poly("x+1") and h == parse_poly("2x^2+3")
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_prop_square_verdict_matches_fixed_d(self, name):
+        """The verdict is FAMILY_BY_PROP_SQUARE exactly when verify_family
+        gives the family a fixed D: on the catalog row and on the row under
+        x -> -x and x -> -x - 1, which keep the family conditions (larger
+        shifts grow the coefficients that the quartics' factor search walks)."""
+        fam = family_by_name(name)
+        for a, b in [(1, 0), (-1, 0), (-1, -1)]:
+            sub = IntPoly.from_coeffs([b, a])
+            t, n = fam.t.compose(sub), fam.n.compose(sub)
+            desc = verify_family(t, n, n + t - 1, fam.k)
+            assert not isinstance(desc, list), (a, b, desc)
+            verdict = analyze_feasibility(t, n, fam.k).verdict
+            assert (verdict is Verdict.FAMILY_BY_PROP_SQUARE) == (desc.fixed_d is not None)
+            assert (desc.fixed_d is not None) == (name == "bn12")
+
+    def test_prop_square_verdict_on_random_square_forms(self):
+        """t = 2s and q = s^2 + (Ax + D) g^2 make f = 4 (Ax + D) g^2, with
+        small coefficients, so the constant factors.  Such candidates seldom
+        meet the family conditions, so the verdict is compared with
+        _describe, the descriptor verify_family returns when they hold."""
+        rng = random.Random(30)
+
+        def poly(degree, bound):
+            return IntPoly.from_coeffs(
+                [rng.randint(-bound, bound) for _ in range(degree)] + [rng.randint(1, bound)]
+            )
+
+        verdicts = set()
+        for _ in range(300):
+            s, g = poly(rng.randint(1, 3), 9), poly(rng.randint(0, 2), 9)
+            linear = IntPoly.from_coeffs([rng.randint(-10**4, 10**4), rng.choice([0, 0, 1, -3])])
+            if linear.is_zero:
+                continue
+            t, q = 2 * s, s * s + linear * g * g
+            n = q + 1 - t
+            if n.is_zero:
+                continue
+            k = rng.randint(1, 12)
+            report = analyze_feasibility(t, n, k)
+            desc = families._describe(t, n, q, k, "random")
+            assert report.f_classification is desc.classification
+            assert (report.verdict is Verdict.FAMILY_BY_PROP_SQUARE) == (
+                desc.fixed_d is not None
+            ), (t, n)
+            verdicts.add(report.verdict)
+        assert {Verdict.FAMILY_BY_PROP_SQUARE, Verdict.UNKNOWN_NEEDS_SOLUTION} <= verdicts
+
     def test_mnt_branch_analysis(self):
         fam = family_by_name("mnt6+")
         rep = analyze_feasibility(fam.t, fam.n, 6)

@@ -250,16 +250,34 @@ class TestSolutions:
             prev = abs(u)
 
     def test_contract_violations_named(self):
-        red = self.make_problem()
-        unit = congruence_unit(15, red.problem.dprime).unit
-        bad_base = QuadraticInteger(7, 1, red.problem.dprime)
-        with pytest.raises(ContractError):
-            solutions(red.problem, bad_base, unit, 1)
-        good_base = QuadraticInteger(-50, 2, red.problem.dprime)
-        bad_unit = fundamental_unit(red.problem.dprime).norm_one
-        if bad_unit.a % 30 != 1 or bad_unit.b % 30 != 0:
-            with pytest.raises(ContractError):
-                solutions(red.problem, good_base, bad_unit, 1)
+        """Each violation is a ContractError naming the unit or the stream
+        element at fault; the base is the stream's element 0."""
+        problem = self.make_problem().problem
+        dprime = problem.dprime
+        unit = congruence_unit(15, dprime).unit
+        good_base = QuadraticInteger(-50, 2, dprime)
+        cases = [
+            # norm 100, not -80
+            ((problem, QuadraticInteger(10, 0, dprime), unit, 1),
+             r"stream element \(10, 0\) violates"),
+            # norm -80, but u = 20 mod 30
+            ((problem, QuadraticInteger(50, 2, dprime), unit, 1),
+             r"stream element \(50, 2\) violates"),
+            # no solution of norm -80 has v odd: ask for v = 0 mod 4 instead
+            ((PellProblem(dprime, -80, 30, 10, 4, 0), good_base, unit, 1),
+             r"stream element \(-50, 2\) violates"),
+            ((PellProblem(2, 1), QuadraticInteger(1, 0, 2), QuadraticInteger(1, 1, 2), 1),
+             r"step unit \(1, 1\) must have norm 1"),
+            # the least norm-one unit of Z[sqrt(645)] is 11 mod 30
+            ((problem, good_base, fundamental_unit(dprime).norm_one, 1),
+             r"step unit \(1024001, 40320\) is not congruent to 1 mod 30"),
+            # one unit step below the canonical base: |u| falls at element 1
+            ((problem, good_base * unit.inverse_unit(), unit, 2),
+             r"stream \|u\| decreased at \(-50, 2\)"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ContractError, match=message):
+                solutions(*args)
 
 
 class TestEnumeration:

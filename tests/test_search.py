@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from pforge import search
 from pforge.curve import CurveRecord, RecordStatus, verify_record
 from pforge.families import (
-    SIEVE_LIMIT, builtin_catalog, family_by_name, filter_discriminant_k10, instantiate,
-    sieve_table,
+    SIEVE_LIMIT, builtin_catalog, d_classes, family_by_name, filter_discriminant_k10,
+    instantiate, sieve_table,
 )
 from pforge.intpoly import IntPoly, _floors, integer_preimages
+from pforge.numtheory import squarefree_decompose
+from pforge.pell import enumerate_solutions, reduce_quadratic
 from pforge.search import (
     SearchConfig,
     _discriminants,
@@ -384,6 +386,23 @@ class TestSieve:
         assert run_search(narrowed) == expected
 
 
+def _reference_quadratic_points(f, d_value, u_bits):
+    """quadratic_points with the filter it had before it called
+    PellProblem.satisfied_by: v and each sign of u compared with the
+    residues directly."""
+    red = reduce_quadratic(f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value)
+    problem = red.problem
+    points = []
+    for z in enumerate_solutions(problem.dprime, problem.t_value // 4, u_bit_limit=u_bits):
+        v = 2 * abs(z.b)
+        if v % problem.modulus_v != problem.residue_v:
+            continue
+        for u in dict.fromkeys((2 * z.a, -2 * z.a)):
+            if u % problem.modulus_u == problem.residue_u:
+                points.append(red.to_xy(u, v))
+    return points
+
+
 class TestSearchMNT:
     def test_mnt6_d19(self):
         config = SearchConfig(family="mnt6+", d_min=19, d_max=19)
@@ -414,8 +433,6 @@ class TestSearchMNT:
                     y = math.isqrt(f_v // d_value)
                     if y * y == f_v // d_value:
                         scan.add((x, y))
-                from pforge.pell import enumerate_solutions, reduce_quadratic
-
                 try:
                     red = reduce_quadratic(a, b, c, d_value)
                 except ValueError:
@@ -457,6 +474,36 @@ class TestSearchMNT:
             assert all(d_value * y * y == f.evaluate(x) and y >= 0 for x, y in points)
             assert len(set(points)) == len(points)
             assert scan <= set(points), (name, d_value, scan - set(points))
+
+    @pytest.mark.parametrize(
+        "name", ["mnt3+", "mnt3-", "mnt4a", "mnt4b", "mnt6+", "mnt6-", "freeman10"]
+    )
+    def test_quadratic_points_match_reference_filter(self, name):
+        """Same points, in the same order, as the direct residue filter, on
+        random square-free D below 10^6: a third drawn from all D, a third
+        from the family's D classes, and a third as the square-free part of
+        f(x) at a random x, which puts a point on D y^2 = f(x)."""
+        family = family_by_name(name)
+        modulus, residues = d_classes(family)
+        rng = random.Random(name)
+        found = 0
+        for i in range(60):
+            d_value = rng.randrange(1, 10**6)
+            if i % 3 == 1:
+                d_value += rng.choice(residues) - d_value % modulus
+            elif i % 3 == 2:
+                d_value = squarefree_decompose(max(family.f.evaluate(rng.randint(-50, 50)), 1))[0]
+            if not 1 <= d_value < 10**6 or squarefree_decompose(d_value)[1] != 1:
+                continue
+            try:
+                want = _reference_quadratic_points(family.f, d_value, 64)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    quadratic_points(family.f, d_value, 64)
+                continue
+            assert quadratic_points(family.f, d_value, 64) == want, d_value
+            found += len(want)
+        assert found
 
     def test_rejects_nonsquarefree_d(self):
         # D = 12 = 3 * 2^2 is not a square-free discriminant: never visited
