@@ -207,9 +207,10 @@ def canonical_representative(z: QuadraticInteger, norm_one: QuadraticInteger) ->
             return best
 
 
-def _square_divisors(t_value: int) -> list[int]:
-    """Every f >= 1 with f**2 | t_value."""
-    return [f for f in divisors(abs(t_value)) if t_value % (f * f) == 0]
+@lru_cache(maxsize=16)
+def _square_divisors(t_value: int) -> tuple[int, ...]:
+    """Every f >= 1 with f**2 | t_value; a search factors its T once."""
+    return tuple(f for f in divisors(abs(t_value)) if t_value % (f * f) == 0)
 
 
 def _lmm_solution(
@@ -337,10 +338,15 @@ class QuadraticReduction(NamedTuple):
         return x, y
 
 
-def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction:
+def reduce_quadratic(
+    a: int, b: int, c: int, d_value: int, d_squarefree: bool = False
+) -> QuadraticReduction:
     """Set up the norm equation for D*y**2 = a*x**2 + b*x + c.
 
     Requires a > 0, b**2 - 4ac nonzero, and a*D not a perfect square.
+    A caller that has certified D square-free passes d_squarefree: then
+    a = s * r**2 is factored, not a*D, and with g = gcd(s, D) the radicand
+    is (s/g)(D/g), square-free because s and D are, and the square root r*g.
     """
     if a <= 0:
         raise ValueError(f"leading coefficient must be positive, got {a}")
@@ -352,7 +358,12 @@ def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction
     ad = a * d_value
     if is_perfect_square(ad):
         raise ValueError(f"a*D = {ad} is a perfect square; no real quadratic order")
-    dprime, r, complete = squarefree_decompose(ad)
+    if d_squarefree:
+        s, r, complete = squarefree_decompose(a)
+        g = math.gcd(s, d_value)
+        dprime, r = (s // g) * (d_value // g), r * g
+    else:
+        dprime, r, complete = squarefree_decompose(ad)
     if not complete:
         raise ValueError(f"could not verify the square-free part of a*D = {ad}")
     problem = PellProblem(
@@ -413,7 +424,9 @@ def enumerate_solutions(
     When t_value**2 < dprime, every solution with gcd(u, v) = g is g times
     a convergent of sqrt(dprime) of norm t_value / g**2 (Lagrange), so one
     walk of the convergents, up to the first outside the limits, finds them
-    all.  Otherwise each base-solution class is walked up from its canonical
+    all; the walk is one loop on ints (the PQa recurrence of _pqa, inlined),
+    and only a convergent whose Q is some |T / g**2| is looked at further.
+    Otherwise each base-solution class is walked up from its canonical
     rep by the norm-one unit, at most max_steps_per_class elements per class
     when given; |u| grows along the walk, and the elements below the rep
     are, up to sign, the conjugates of those above the rep of the conjugate
@@ -426,20 +439,37 @@ def enumerate_solutions(
     if v_limit is None and u_bit_limit is None:
         raise ValueError("enumerate_solutions needs v_limit or u_bit_limit")
 
+    # |u| < u_cap and |v| <= v_cap, math.inf standing for a missing limit; a
+    # negative u_bit_limit admits no u (|u|.bit_length() <= it never holds)
+    if u_bit_limit is None:
+        u_cap = math.inf
+    else:
+        u_cap = 1 << u_bit_limit if u_bit_limit >= 0 else 0
+    v_cap = math.inf if v_limit is None else v_limit
+
     def within(u: int, v: int) -> bool:
-        return (v_limit is None or abs(v) <= v_limit) and (
-            u_bit_limit is None or abs(u).bit_length() <= u_bit_limit
-        )
+        return abs(u) < u_cap and abs(v) <= v_cap
 
     found: dict[tuple[int, int], tuple[int, int]] = {}
     if t_value * t_value < dprime:
         scales = {t_value // (g * g): g for g in _square_divisors(t_value)}
-        for i, (_, _, q, p, b) in enumerate(_pqa(0, 1, dprime)):
-            if not within(p, b):
-                break
-            g = scales.get((-1) ** i * q)
-            if g is not None and within(u := g * p, v := g * b):
-                found.setdefault((abs(u), abs(v)), (u, v))
+        norms = set(map(abs, scales))
+        root = math.isqrt(dprime)
+        # _pqa(0, 1, dprime) on locals: the convergent (cu, cv) = (G_{i-1},
+        # B_{i-1}) has norm sign * q, sign = (-1)**i, and q = Q_i > 0
+        p, q, sign = 0, 1, 1
+        cu_prev, cu, cv_prev, cv = 0, 1, 1, 0
+        while cu < u_cap and cv <= v_cap:
+            if q in norms and (g := scales.get(sign * q)) is not None:
+                u, v = g * cu, g * cv
+                if u < u_cap and v <= v_cap:
+                    found[u, v] = (u, v)
+            a = (p + root) // q
+            cu_prev, cu = cu, a * cu + cu_prev
+            cv_prev, cv = cv, a * cv + cv_prev
+            p = a * q - p
+            q = (dprime - p * p) // q
+            sign = -sign
     else:
         ua, ub = fundamental_unit(dprime).norm_one.pair()
         for rep in base_solutions(dprime, t_value):

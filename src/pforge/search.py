@@ -4,11 +4,15 @@ recovery of x0 from a published field size.
 A family with a fixed D (f = 4q - t**2 a square times a linear factor) is
 searched by scanning x, sieved by the primes below SIEVE_LIMIT; any other
 family with quadratic f goes through the norm equation of D y**2 = f(x), for
-every square-free D in its admissible residue classes.  Both feed the same
-stage: the q-bits range, instantiate, the record cap."""
+every square-free D in its admissible residue classes.  Those D come from a
+sieve too, which strikes the multiples of p**2 for the primes p up to
+isqrt(d_max) (at most DEFAULT_FACTOR_BOUND), so no D is factored below
+about 10**12.  Both feed the same stage: the q-bits range, instantiate, the
+record cap."""
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from itertools import compress
@@ -20,7 +24,7 @@ from .families import (
     SIEVE_LIMIT, FamilyDescriptor, d_classes, family_by_name, instantiate, sieve_table,
 )
 from .intpoly import IntPoly, integer_preimages
-from .numtheory import squarefree_decompose
+from .numtheory import DEFAULT_FACTOR_BOUND, _primes_below, squarefree_decompose
 from .pell import enumerate_solutions, reduce_quadratic
 
 
@@ -98,34 +102,62 @@ def _split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
 
 
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
-    """Ascending square-free D in [d_min, d_max], striding over the
-    family's admissible residue classes (d_classes)."""
+    """Ascending square-free D in [d_min, d_max] in the family's admissible
+    residue classes (d_classes), read off lazily, SIEVE_BLOCK D at a time.
+
+    Each block marks the D in the classes and strikes the multiples of p**2
+    for every prime p up to the sieve height min(isqrt(d_max),
+    DEFAULT_FACTOR_BOUND); that decides square-freeness exactly below
+    (height + 1)**2.  A D from there up (only past about 10**12) is factored
+    by squarefree_decompose instead, and skipped with a stderr line when
+    that cannot settle it."""
     modulus, residues = d_classes(family)
-    lo = max(d_min, 1)
-    for block in range(lo - lo % modulus, d_max + 1, modulus):
+    height = min(math.isqrt(max(d_max, 0)), DEFAULT_FACTOR_BOUND)
+    certified = (height + 1) ** 2
+    # the size factorize rounds to, so the two share _primes_below's cache
+    limit = min(1 << height.bit_length(), DEFAULT_FACTOR_BOUND + 1)
+    prime_squares = [p * p for p in _primes_below(limit) if p <= height]
+    for start in range(max(d_min, 1), d_max + 1, SIEVE_BLOCK):
+        stop = min(start + SIEVE_BLOCK, d_max + 1)
+        keep = bytearray(stop - start)
         for residue in residues:
-            d_value = block + residue
-            if not lo <= d_value <= d_max:
-                continue
-            _, square, complete = squarefree_decompose(d_value)
-            if not complete:
-                _progress(f"D={d_value}, skipped: square-freeness could not be verified")
-            elif square == 1:
-                yield d_value
+            first = (residue - start) % modulus
+            keep[first::modulus] = b"\x01" * len(range(first, stop - start, modulus))
+        end = min(stop, certified) - start
+        if end > 0:
+            for p_squared in prime_squares:
+                first = -start % p_squared
+                keep[first:end:p_squared] = bytes(len(range(first, end, p_squared)))
+        for d_value in compress(range(start, stop), keep):
+            if d_value >= certified:
+                _, square, complete = squarefree_decompose(d_value)
+                if not complete:
+                    _progress(f"D={d_value}, skipped: square-freeness could not be verified")
+                    continue
+                if square != 1:
+                    continue
+            yield d_value
 
 
-def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, int]]:
+def quadratic_points(
+    f: IntPoly, d_value: int, u_bits: int, d_squarefree: bool = False
+) -> list[tuple[int, int]]:
     """Integer points (x, y), y >= 0, on D y**2 = f(x) for quadratic f.
 
-    reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry.
-    The middle coefficient b of f = 4q - t**2 is even, so every admissible
-    (u, v) is even: the points come from (u/2)**2 - D' (v/2)**2 = T/4, in
-    order of |u/2| < 2**u_bits, the only bound.  Raises ValueError when D
-    gives no real quadratic order and CapacityError when the continued
-    fraction of sqrt(D') passes its period cap."""
+    reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry;
+    d_squarefree (D certified square-free, as _discriminants does) spares it
+    factoring a*D.  The middle coefficient b of f = 4q - t**2 is even, so
+    every admissible (u, v) is even: the points come from
+    (u/2)**2 - D' (v/2)**2 = T/4, in order of |u/2| < 2**u_bits, the only
+    bound.  Raises ValueError when D gives no real quadratic order, or when
+    a*D does not factor.  CapacityError can come only from the class walk
+    (T**2/16 >= D'), through fundamental_unit, when the continued fraction
+    of sqrt(D') passes its period cap; the convergent walk has no cap."""
     if f.degree != 2 or f.coefficient(1) % 2:
         raise ValueError(f"f = {f} is not quadratic with an even middle coefficient")
-    reduction = reduce_quadratic(f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value)
+    reduction = reduce_quadratic(
+        f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value, d_squarefree
+    )
     problem = reduction.problem
     halves = enumerate_solutions(problem.dprime, problem.t_value // 4, u_bit_limit=u_bits)
     points = []
@@ -183,7 +215,7 @@ def _candidates(
         return
     for d_value in _discriminants(family, config.d_min, config.d_max):
         try:
-            points = quadratic_points(family.f, d_value, config.max_u_bits)
+            points = quadratic_points(family.f, d_value, config.max_u_bits, d_squarefree=True)
         except (ValueError, CapacityError) as exc:
             _progress(f"D={d_value}, skipped: {exc}")
             continue

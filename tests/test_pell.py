@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pforge import pell
 from pforge.errors import CapacityError, ContractError
+from pforge.numtheory import squarefree_decompose
 from pforge.pell import (
     PellProblem,
     QuadraticInteger,
@@ -355,6 +358,104 @@ class TestLagrangeEnumeration:
             enumerate_solutions(645, -20)
 
 
+def _reference_convergent_walk(dprime, t_value, v_limit=None, u_bit_limit=None):
+    """enumerate_solutions' T**2 < D' branch as it was written on _pqa: a
+    generator walk, a limit closure per step and the sign as (-1)**i."""
+
+    def within(u, v):
+        return (v_limit is None or abs(v) <= v_limit) and (
+            u_bit_limit is None or abs(u).bit_length() <= u_bit_limit
+        )
+
+    scales = {t_value // (g * g): g for g in _square_divisors(t_value)}
+    found = {}
+    for i, (_, _, q, p, b) in enumerate(_pqa(0, 1, dprime)):
+        if not within(p, b):
+            break
+        g = scales.get((-1) ** i * q)
+        if g is not None and within(u := g * p, v := g * b):
+            found.setdefault((abs(u), abs(v)), (u, v))
+    return [pair for _, pair in sorted(found.items())]
+
+
+def _walk(dprime, t_value, **limits):
+    return [z.pair() for z in enumerate_solutions(dprime, t_value, **limits)]
+
+
+class TestConvergentLoop:
+    """The T**2 < D' branch of enumerate_solutions, one loop on ints, against
+    the _pqa walk it replaced and against the exhaustive scans."""
+
+    LIMITS = [
+        {"v_limit": 0}, {"u_bit_limit": 0}, {"u_bit_limit": 1}, {"u_bit_limit": -1},
+        {"v_limit": 0, "u_bit_limit": 1}, {"v_limit": 1}, {"u_bit_limit": 2},
+        {"u_bit_limit": 64}, {"v_limit": 10**6}, {"v_limit": 10**5, "u_bit_limit": 40},
+        {"v_limit": 10**9, "u_bit_limit": 20},
+    ]
+
+    def test_random_inputs_match_the_pqa_walk(self):
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 1500:
+            dprime = rng.randrange(2, 10**8 if rng.random() < 0.7 else 10**4)
+            t_value = rng.choice([1, -1, -20, 96, 384, -4, rng.randrange(-2000, 2000) or 3])
+            if t_value * t_value >= dprime or math.isqrt(dprime) ** 2 == dprime:
+                continue
+            limits = rng.choice(self.LIMITS)
+            want = _reference_convergent_walk(dprime, t_value, **limits)
+            assert _walk(dprime, t_value, **limits) == want, (dprime, t_value, limits)
+            checked += 1
+
+    @pytest.mark.parametrize("limits", LIMITS)
+    @pytest.mark.parametrize("t_value", [1, -1, -20, 96, 384])
+    def test_limits_match_the_pqa_walk(self, t_value, limits):
+        for dprime in LAGRANGE_DPRIMES:
+            if t_value * t_value < dprime:
+                want = _reference_convergent_walk(dprime, t_value, **limits)
+                assert _walk(dprime, t_value, **limits) == want, dprime
+
+    def test_smallest_limits(self):
+        # (1, 0) is the only solution of norm 1 with v = 0; none has u < 2**0
+        assert _walk(1021, 1, v_limit=0) == [(1, 0)]
+        assert _walk(1021, 1, u_bit_limit=1) == [(1, 0)]
+        assert _walk(1021, 1, u_bit_limit=0) == []
+        assert _walk(1021, -1, v_limit=0) == []
+        assert _walk(1021, 96, v_limit=0) == []
+
+    @pytest.mark.parametrize("t_value", [1, -1, -20, 96, 384])
+    def test_both_limits_against_exhaustive_scan(self, t_value):
+        checked = 0
+        for dprime in LAGRANGE_DPRIMES:
+            if t_value * t_value >= dprime:
+                continue
+            for v_limit in (0, 1, 7, 10**3):
+                want = {
+                    (u, v) for u, v in brute_solutions(dprime, t_value, v_limit)
+                    if u.bit_length() <= 30
+                }
+                got = _walk(dprime, t_value, v_limit=v_limit, u_bit_limit=30)
+                assert set(got) == want and len(got) == len(want), (dprime, v_limit)
+                checked += 1
+            got = _walk(dprime, t_value, u_bit_limit=24)
+            assert set(got) == scan_solutions(dprime, [t_value], 24)[t_value], dprime
+        assert checked >= 20
+
+    def test_t_is_factored_once(self, monkeypatch):
+        calls = []
+
+        def counting_divisors(m):
+            calls.append(m)
+            return pell_divisors(m)
+
+        pell_divisors = pell.divisors
+        monkeypatch.setattr(pell, "divisors", counting_divisors)
+        _square_divisors.cache_clear()
+        for dprime in (1000020, 1002006, 1004000, 1006010):
+            enumerate_solutions(dprime, 384, u_bit_limit=64)
+            base_solutions(dprime, 384)
+        assert calls == [384]
+
+
 # non-square D' <= 150 with the T of CLASS_T for which T**2 >= D'
 CLASS_T = (4, -20, 384)
 CLASS_CASES = [
@@ -421,6 +522,14 @@ class TestBaseSolutionsOracle:
             assert len(reps) == len(expected), (dprime, t_value)
 
 
+def _no_factoring_of(forbidden):
+    def decompose(m, *args):
+        assert m != forbidden, f"a*D = {m} was factored"
+        return squarefree_decompose(m, *args)
+
+    return decompose
+
+
 class TestReduction:
     def test_freeman_d43(self):
         red = reduce_quadratic(15, 10, 3, 43)
@@ -438,6 +547,24 @@ class TestReduction:
         # a = 12, D = 3 -> aD = 36 is square; use D = 6 -> aD = 72 = 2 * 36
         red = reduce_quadratic(12, 0, -5, 6)
         assert red.problem.dprime == 2 and red.r == 6
+
+    def test_certified_d_gives_the_factored_reduction(self, monkeypatch):
+        """With D square-free, a = s r**2 and g = gcd(s, D) give D' and r
+        without factoring a*D; the reduction equals the factored one."""
+        rng = random.Random(32)
+        cases = [(12, 6), (15, 43), (15, 15), (12, 3 * 5 * 7), (75, 10), (98, 14)]
+        while len(cases) < 400:
+            d_value = rng.randrange(1, 10**7)
+            if squarefree_decompose(d_value)[1] == 1:
+                a = rng.choice([1, 2, 12, 15, 18, 50, 72, 98, rng.randrange(1, 500)])
+                cases.append((a, d_value))
+        for a, d_value in cases:
+            if math.isqrt(a * d_value) ** 2 == a * d_value:
+                continue
+            want = reduce_quadratic(a, 2, -5, d_value)
+            monkeypatch.setattr(pell, "squarefree_decompose", _no_factoring_of(a * d_value))
+            assert reduce_quadratic(a, 2, -5, d_value, d_squarefree=True) == want, (a, d_value)
+            monkeypatch.undo()
 
     def test_to_xy_roundtrip(self):
         red = reduce_quadratic(15, 10, 3, 43)

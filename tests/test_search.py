@@ -232,6 +232,106 @@ class TestSearchK10:
         assert len(stream) == 1585
 
 
+def _reference_discriminants(family, d_min, d_max):
+    """_discriminants as it was before the p**2 sieve: stride over the
+    residue classes and factor every D by squarefree_decompose."""
+    modulus, residues = d_classes(family)
+    lo = max(d_min, 1)
+    for block in range(lo - lo % modulus, d_max + 1, modulus):
+        for residue in residues:
+            d_value = block + residue
+            if not lo <= d_value <= d_max:
+                continue
+            _, square, complete = squarefree_decompose(d_value)
+            if not complete:
+                search._progress(f"D={d_value}, skipped: square-freeness could not be verified")
+            elif square == 1:
+                yield d_value
+
+
+NORM_EQUATION_FAMILIES = [family for family in builtin_catalog() if family.fixed_d is None]
+# the sieve height is min(isqrt(d_max), 10**6): square-freeness below
+# (10**6 + 1)**2 is read off the sieve, and from there up factored per D
+SIEVE_TOP = (10**6 + 1) ** 2
+
+
+class TestDiscriminantSieve:
+    """_discriminants (a p**2 sieve over SIEVE_BLOCK D at a time) against
+    the per-D squarefree_decompose filter it replaced: same D, same order,
+    same stderr."""
+
+    def _assert_same(self, capsys, family, d_min, d_max):
+        want = list(_reference_discriminants(family, d_min, d_max))
+        want_err = capsys.readouterr().err
+        assert list(_discriminants(family, d_min, d_max)) == want, (family.name, d_min, d_max)
+        assert capsys.readouterr().err == want_err
+        return want
+
+    @pytest.mark.parametrize("family", NORM_EQUATION_FAMILIES, ids=lambda family: family.name)
+    def test_random_windows_up_to_10_12(self, family, capsys):
+        rng = random.Random(family.name)
+        total = 0
+        for _ in range(6):
+            d_min = int(10 ** rng.uniform(0, 12))
+            total += len(self._assert_same(capsys, family, d_min, d_min + rng.randrange(1200)))
+        assert total
+
+    @pytest.mark.parametrize(
+        "d_min,d_max",
+        [
+            (SIEVE_TOP - 600, SIEVE_TOP + 600),
+            (SIEVE_TOP - 1, SIEVE_TOP),
+            (SIEVE_TOP, SIEVE_TOP + 300),
+            # 3 * 1000003**2 in mnt6+'s class 3 mod 24: a square factor above
+            # the trial-division bound, found only by squarefree_decompose
+            (3 * 1000003**2 - 300, 3 * 1000003**2 + 300),
+            (10**12 - 700, 10**12 - 1),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["mnt6+", "freeman10"])
+    def test_windows_at_the_sieve_height(self, name, d_min, d_max, capsys):
+        self._assert_same(capsys, family_by_name(name), d_min, d_max)
+
+    @pytest.mark.parametrize("block", [1, 7, 120, 1000, 1 << 16])
+    def test_windows_across_block_boundaries(self, block, monkeypatch, capsys):
+        monkeypatch.setattr(search, "SIEVE_BLOCK", block)
+        for name in ("mnt3+", "mnt4a", "freeman10"):
+            family = family_by_name(name)
+            self._assert_same(capsys, family, 1, 3000)
+            self._assert_same(capsys, family, 65536 - 500, 65536 + 500)
+            span = min(2 * block, 500)
+            self._assert_same(capsys, family, SIEVE_TOP - span - 5, SIEVE_TOP + span)
+
+    @pytest.mark.parametrize(
+        "d_min,d_max", [(-50, 100), (-10, 0), (0, 0), (100, 50), (43, 43), (44, 44), (1, 1)]
+    )
+    def test_empty_negative_and_single_windows(self, d_min, d_max, capsys):
+        for family in NORM_EQUATION_FAMILIES:
+            self._assert_same(capsys, family, d_min, d_max)
+
+    def test_search_below_the_height_factors_neither_d_nor_a_d(self, monkeypatch):
+        from pforge import pell
+
+        factored = []
+
+        def decompose(m, *args):
+            factored.append(m)
+            return squarefree_decompose(m, *args)
+
+        monkeypatch.setattr(search, "squarefree_decompose", decompose)
+        monkeypatch.setattr(pell, "squarefree_decompose", decompose)
+        config = SearchConfig(family="freeman10", d_min=1, d_max=20000, q_bits_max=96)
+        assert run_search(config)
+        assert factored and set(factored) == {15}  # a = 15 only
+
+    def test_unverifiable_d_is_skipped_with_its_line(self, capsys):
+        d_value = 1000003 * 1000033
+        assert list(_discriminants(family_by_name("mnt6+"), d_value, d_value)) == []
+        assert capsys.readouterr().err == (
+            f"D={d_value}, skipped: square-freeness could not be verified\n"
+        )
+
+
 class TestSearchBN12:
     def test_range_zero_two(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=2)
