@@ -4,10 +4,12 @@ recovery of x0 from a published field size.
 A family with a fixed D (f = 4q - t**2 a square times a linear factor) is
 searched by scanning x, sieved by the primes below SIEVE_LIMIT; any other
 family with quadratic f goes through the norm equation of D y**2 = f(x), for
-every square-free D in its admissible residue classes.  Those D come from a
-sieve too, which strikes the multiples of p**2 for the primes p up to
-isqrt(d_max) (at most DEFAULT_FACTOR_BOUND), so no D is factored below
-about 10**12.  Both feed the same stage: the q-bits range, instantiate, the
+every square-free D in its admissible residue classes that no sieve prime
+rules out.  Those D come from a sieve too, which for the primes p up to
+isqrt(d_max) (at most DEFAULT_FACTOR_BOUND) strikes the multiples of p**2,
+so no D is factored below about 10**12, and the multiples of each p at
+which the curve's T = b**2 - 4ac is a non-residue, where D y**2 = f(x) has
+no point.  Both feed the same stage: the q-bits range, instantiate, the
 record cap."""
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ SIEVE_BLOCK = 1 << 16
 
 
 def _progress(message: str) -> None:
-    print(message, file=sys.stderr)
+    # one write per line: print makes two, and lines from parallel parts
+    # would interleave between them
+    sys.stderr.write(message + "\n")
 
 
 def _abs_bounds(x_min: int, x_max: int) -> tuple[int, int]:
@@ -103,26 +107,49 @@ def _split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
 
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
     """Ascending square-free D in [d_min, d_max] in the family's admissible
-    residue classes (d_classes), read off lazily, SIEVE_BLOCK D at a time.
+    residue classes (d_classes) that are not locally insoluble at a sieve
+    prime, read off lazily, SIEVE_BLOCK D at a time.
 
-    Each block marks the D in the classes and strikes the multiples of p**2
-    for every prime p up to the sieve height min(isqrt(d_max),
-    DEFAULT_FACTOR_BOUND); that decides square-freeness exactly below
+    Each block marks the D in the classes and, for every prime p up to the
+    sieve height min(isqrt(d_max), DEFAULT_FACTOR_BOUND), strikes the
+    multiples of p**2, which decides square-freeness exactly below
     (height + 1)**2.  A D from there up (only past about 10**12) is factored
     by squarefree_decompose instead, and skipped with a stderr line when
-    that cannot settle it."""
+    that cannot settle it.
+
+    For quadratic f = a x**2 + b x + c with T = b**2 - 4ac, the block also
+    loses, wherever D lies, the multiples of every such p with p not
+    dividing 2aT and T a non-residue mod p: 4aD y**2 = (2ax + b)**2 - T, so
+    a point would make T a square mod p.  A D struck so is never factored
+    and prints nothing.  For the catalog's families the classes make the
+    Jacobi symbol of T over the primes of D not dividing 2aT +1, so while
+    the height is isqrt(d_max), a D with one such prime past it has another
+    below it; only above 10**12 can a D with two of them be walked."""
     modulus, residues = d_classes(family)
     height = min(math.isqrt(max(d_max, 0)), DEFAULT_FACTOR_BOUND)
     certified = (height + 1) ** 2
     # the size factorize rounds to, so the two share _primes_below's cache
     limit = min(1 << height.bit_length(), DEFAULT_FACTOR_BOUND + 1)
-    prime_squares = [p * p for p in _primes_below(limit) if p <= height]
+    primes = [p for p in _primes_below(limit) if p <= height]
+    prime_squares = [p * p for p in primes]
+    insoluble = []
+    if family.f.degree == 2:
+        a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
+        t_value = b * b - 4 * a * c
+        # Euler's criterion: T is a non-residue mod p
+        insoluble = [
+            p for p in primes
+            if (2 * a * t_value) % p and pow(t_value, (p - 1) // 2, p) == p - 1
+        ]
     for start in range(max(d_min, 1), d_max + 1, SIEVE_BLOCK):
         stop = min(start + SIEVE_BLOCK, d_max + 1)
         keep = bytearray(stop - start)
         for residue in residues:
             first = (residue - start) % modulus
             keep[first::modulus] = b"\x01" * len(range(first, stop - start, modulus))
+        for p in insoluble:
+            first = -start % p
+            keep[first::p] = bytes(len(range(first, stop - start, p)))
         end = min(stop, certified) - start
         if end > 0:
             for p_squared in prime_squares:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from pforge.families import (
     instantiate, sieve_table,
 )
 from pforge.intpoly import IntPoly, _floors, integer_preimages
-from pforge.numtheory import squarefree_decompose
+from pforge.numtheory import factorize, jacobi_symbol, squarefree_decompose
 from pforge.pell import enumerate_solutions, reduce_quadratic
 from pforge.search import (
     SearchConfig,
@@ -226,21 +227,58 @@ class TestSearchK10:
         assert len(run_search(config)) == 1
 
     def test_discriminant_stream_equals_filter(self):
-        stream = list(_discriminants(family_by_name("freeman10"), 1, 10**5))
-        accepted = [d for d in range(1, 10**5 + 1) if filter_discriminant_k10(d).accepted]
+        family = family_by_name("freeman10")
+        stream = list(_discriminants(family, 1, 10**5))
+        accepted = [
+            d for d in range(1, 10**5 + 1)
+            if filter_discriminant_k10(d).accepted
+            and not _locally_insoluble(family, _primes_of(d))
+        ]
         assert stream == accepted
-        assert len(stream) == 1585
+        assert len(stream) == 978
+
+
+def _locally_insoluble(family, primes):
+    """Whether the primes of D include an odd p, p not dividing 2aT, at
+    which T = b**2 - 4ac is a non-residue: then (2ax + b)**2 = T (mod p)
+    for every point of D y**2 = f(x), so none exists."""
+    a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
+    t_value = b * b - 4 * a * c
+    return any(
+        p % 2 and (2 * a * t_value) % p and jacobi_symbol(t_value, p) == -1 for p in primes
+    )
+
+
+def _primes_of(d_value):
+    return [p for p, _ in factorize(d_value).factors]
+
+
+@functools.lru_cache(maxsize=None)
+def _square_free_parts(a, b, c):
+    """{D: its primes} for D the square-free part of f(x) = a x**2 + b x + c
+    over |x| <= 10**4 with f(x) > 0.  The range is symmetric, so f(x) and
+    f(-x) (b and -b) give the same D."""
+    parts = {}
+    for x in range(-10**4, 10**4 + 1):
+        value = a * x * x + b * x + c
+        if value > 0:
+            fac = factorize(value)
+            assert fac.complete
+            odd = [p for p, e in fac.factors if e % 2]
+            parts[math.prod(odd)] = odd
+    return parts
 
 
 def _reference_discriminants(family, d_min, d_max):
-    """_discriminants as it was before the p**2 sieve: stride over the
-    residue classes and factor every D by squarefree_decompose."""
+    """_discriminants as it was before the D sieve: stride over the residue
+    classes, drop the locally insoluble D and factor every other D by
+    squarefree_decompose."""
     modulus, residues = d_classes(family)
     lo = max(d_min, 1)
     for block in range(lo - lo % modulus, d_max + 1, modulus):
         for residue in residues:
             d_value = block + residue
-            if not lo <= d_value <= d_max:
+            if not lo <= d_value <= d_max or _locally_insoluble(family, _primes_of(d_value)):
                 continue
             _, square, complete = squarefree_decompose(d_value)
             if not complete:
@@ -256,9 +294,10 @@ SIEVE_TOP = (10**6 + 1) ** 2
 
 
 class TestDiscriminantSieve:
-    """_discriminants (a p**2 sieve over SIEVE_BLOCK D at a time) against
-    the per-D squarefree_decompose filter it replaced: same D, same order,
-    same stderr."""
+    """_discriminants (a sieve over SIEVE_BLOCK D at a time that strikes
+    the multiples of p**2 and of the primes at which T is a non-residue)
+    against the per-D factorization filter it replaced: same D, same
+    order, same stderr."""
 
     def _assert_same(self, capsys, family, d_min, d_max):
         want = list(_reference_discriminants(family, d_min, d_max))
@@ -329,6 +368,38 @@ class TestDiscriminantSieve:
         assert list(_discriminants(family_by_name("mnt6+"), d_value, d_value)) == []
         assert capsys.readouterr().err == (
             f"D={d_value}, skipped: square-freeness could not be verified\n"
+        )
+
+    @pytest.mark.parametrize("family", NORM_EQUATION_FAMILIES, ids=lambda family: family.name)
+    def test_every_point_keeps_its_d(self, family):
+        """D y**2 = f(x) for D the square-free part of f(x): whenever that D
+        lies in the classes, no prime of it is locally insoluble, so every
+        sieve keeps it.  Every D up to 2 * 10**6 is checked in one window,
+        and a single-D window and a 2,000-wide one around D are checked for
+        the smallest D and a sample of the rest (one call at D ~ 10**9
+        takes several ms, and |x| <= 10**4 gives ~10**4 D per family)."""
+        modulus, residues = d_classes(family)
+        a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
+        parts = _square_free_parts(a, abs(b), c)
+        point_ds = [d for d in parts if d % modulus in residues]
+        assert not any(_locally_insoluble(family, parts[d]) for d in point_ds)
+        point_ds.sort()
+        small = [d for d in point_ds if d <= 2 * 10**6]
+        assert set(small) <= set(_discriminants(family, 1, 2 * 10**6))
+        for d_value in point_ds[:40] + random.Random(family.name).sample(point_ds, 10):
+            assert list(_discriminants(family, d_value, d_value)) == [d_value]
+            assert d_value in _discriminants(family, d_value - 1000, d_value + 999)
+
+    def test_k10_scan_window_walks_169_d(self):
+        """The benchmark's k10-scan window for seed 1: 314 square-free D in
+        the classes, of which the strike leaves 169 to the norm equation,
+        and the published 149-bit curve among its records."""
+        family = family_by_name("freeman10")
+        assert len(list(_discriminants(family, 1657250, 1677249))) == 169
+        config = SearchConfig(family="freeman10", d_min=1657250, d_max=1677249, max_u_bits=256)
+        assert any(
+            (r.d, r.x0, r.q) == (EXAMPLE_149.d, 66980436970, EXAMPLE_149.q)
+            for r in run_search(config)
         )
 
 
@@ -653,6 +724,24 @@ class TestRunSearch:
         # D = 11 holds x0 = -6 and x0 = -2; the norm equation finds -2 first
         config = SearchConfig("mnt4b", d_min=1, d_max=40, max_u_bits=256, max_records=1)
         assert run_search(config)[0].x0 == -6
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(family="freeman10", d_min=1, d_max=3000, q_bits_max=64),
+            SearchConfig(family="mnt6+", d_min=1000036000099, d_max=1000036000099),
+            SearchConfig(family="bn12", x_min=0, x_max=2),
+        ],
+        ids=["candidates", "skipped", "sieved"],
+    )
+    def test_each_stderr_line_is_one_write(self, config, monkeypatch):
+        """Parallel parts share stderr, so a line written in two calls can
+        be split by another part's line."""
+        writes = []
+        monkeypatch.setattr(search.sys, "stderr", SimpleNamespace(write=writes.append))
+        run_search(config)
+        assert writes
+        assert all(text.count("\n") == 1 and text.endswith("\n") for text in writes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
