@@ -256,6 +256,7 @@ def _check_mark(flag: bool) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _at_least_one("discriminant D", args.d)
     t = parse_poly(args.t)
     n = parse_poly(args.n)
     q = parse_poly(args.q) if args.q else n + t - 1

@@ -6,7 +6,8 @@ and, for T**2 < D', every solution directly (Lagrange); both solution walks
 run on plain ints and build a `QuadraticInteger` only for each solution
 returned.  On top sit the unit congruent to 1 modulo 2a that preserves
 solution congruences and the reduction of D*y**2 = f(x) (f quadratic) to
-a constrained norm equation.
+a constrained norm equation, for any D > 0: it factors only the leading
+coefficient a, and its radicand D' need not be square-free.
 """
 
 from __future__ import annotations
@@ -338,15 +339,14 @@ class QuadraticReduction(NamedTuple):
         return x, y
 
 
-def reduce_quadratic(
-    a: int, b: int, c: int, d_value: int, d_squarefree: bool = False
-) -> QuadraticReduction:
+def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction:
     """Set up the norm equation for D*y**2 = a*x**2 + b*x + c.
 
     Requires a > 0, b**2 - 4ac nonzero, and a*D not a perfect square.
-    A caller that has certified D square-free passes d_squarefree: then
-    a = s * r**2 is factored, not a*D, and with g = gcd(s, D) the radicand
-    is (s/g)(D/g), square-free because s and D are, and the square root r*g.
+    Only a is factored, a = s * r**2: with g = gcd(s, D) the radicand is
+    (s/g)(D/g) and the square root r*g, so a*D = dprime * r**2 for any D.
+    The norm-equation layer needs dprime only to be a non-square, which a*D
+    not a square makes it; it is square-free when D is and a factors fully.
     """
     if a <= 0:
         raise ValueError(f"leading coefficient must be positive, got {a}")
@@ -358,14 +358,9 @@ def reduce_quadratic(
     ad = a * d_value
     if is_perfect_square(ad):
         raise ValueError(f"a*D = {ad} is a perfect square; no real quadratic order")
-    if d_squarefree:
-        s, r, complete = squarefree_decompose(a)
-        g = math.gcd(s, d_value)
-        dprime, r = (s // g) * (d_value // g), r * g
-    else:
-        dprime, r, complete = squarefree_decompose(ad)
-    if not complete:
-        raise ValueError(f"could not verify the square-free part of a*D = {ad}")
+    s, r, _ = squarefree_decompose(a)
+    g = math.gcd(s, d_value)
+    dprime, r = (s // g) * (d_value // g), r * g
     problem = PellProblem(
         dprime=dprime,
         t_value=t_value,

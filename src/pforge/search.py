@@ -108,7 +108,9 @@ def _split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
     """Ascending square-free D in [d_min, d_max] in the family's admissible
     residue classes (d_classes) that are not locally insoluble at a sieve
-    prime, read off lazily, SIEVE_BLOCK D at a time.
+    prime, read off lazily, SIEVE_BLOCK D at a time.  Square-free only so
+    that each curve comes once: a point on D m**2 y**2 = f(x) is one on
+    D y**2 = f(x) at the same x.
 
     Each block marks the D in the classes and, for every prime p up to the
     sieve height min(isqrt(d_max), DEFAULT_FACTOR_BOUND), strikes the
@@ -117,10 +119,11 @@ def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator
     by squarefree_decompose instead, and skipped with a stderr line when
     that cannot settle it.
 
-    For quadratic f = a x**2 + b x + c with T = b**2 - 4ac, the block also
-    loses, wherever D lies, the multiples of every such p with p not
-    dividing 2aT and T a non-residue mod p: 4aD y**2 = (2ax + b)**2 - T, so
-    a point would make T a square mod p.  A D struck so is never factored
+    With f = a x**2 + b x + c (quadratic in every family without a fixed
+    D) and T = b**2 - 4ac, the block also loses, wherever D lies, the
+    multiples of every such p with p not dividing 2aT and T a non-residue
+    mod p: 4aD y**2 = (2ax + b)**2 - T, so a point would make T a square
+    mod p.  A D struck so is never factored
     and prints nothing.  For the catalog's families the classes make the
     Jacobi symbol of T over the primes of D not dividing 2aT +1, so while
     the height is isqrt(d_max), a D with one such prime past it has another
@@ -132,15 +135,12 @@ def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator
     limit = min(1 << height.bit_length(), DEFAULT_FACTOR_BOUND + 1)
     primes = [p for p in _primes_below(limit) if p <= height]
     prime_squares = [p * p for p in primes]
-    insoluble = []
-    if family.f.degree == 2:
-        a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
-        t_value = b * b - 4 * a * c
-        # Euler's criterion: T is a non-residue mod p
-        insoluble = [
-            p for p in primes
-            if (2 * a * t_value) % p and pow(t_value, (p - 1) // 2, p) == p - 1
-        ]
+    a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
+    t_value = b * b - 4 * a * c
+    # Euler's criterion: T is a non-residue mod p
+    insoluble = [
+        p for p in primes if (2 * a * t_value) % p and pow(t_value, (p - 1) // 2, p) == p - 1
+    ]
     for start in range(max(d_min, 1), d_max + 1, SIEVE_BLOCK):
         stop = min(start + SIEVE_BLOCK, d_max + 1)
         keep = bytearray(stop - start)
@@ -166,25 +166,20 @@ def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator
             yield d_value
 
 
-def quadratic_points(
-    f: IntPoly, d_value: int, u_bits: int, d_squarefree: bool = False
-) -> list[tuple[int, int]]:
+def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, int]]:
     """Integer points (x, y), y >= 0, on D y**2 = f(x) for quadratic f.
 
-    reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry;
-    d_squarefree (D certified square-free, as _discriminants does) spares it
-    factoring a*D.  The middle coefficient b of f = 4q - t**2 is even, so
+    reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry,
+    for any D > 0.  The middle coefficient b of f = 4q - t**2 is even, so
     every admissible (u, v) is even: the points come from
     (u/2)**2 - D' (v/2)**2 = T/4, in order of |u/2| < 2**u_bits, the only
-    bound.  Raises ValueError when D gives no real quadratic order, or when
-    a*D does not factor.  CapacityError can come only from the class walk
-    (T**2/16 >= D'), through fundamental_unit, when the continued fraction
-    of sqrt(D') passes its period cap; the convergent walk has no cap."""
+    bound.  Raises ValueError when D gives no real quadratic order.
+    CapacityError can come only from the class walk (T**2/16 >= D'),
+    through fundamental_unit, when the continued fraction of sqrt(D')
+    passes its period cap; the convergent walk has no cap."""
     if f.degree != 2 or f.coefficient(1) % 2:
         raise ValueError(f"f = {f} is not quadratic with an even middle coefficient")
-    reduction = reduce_quadratic(
-        f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value, d_squarefree
-    )
+    reduction = reduce_quadratic(f.coefficient(2), f.coefficient(1), f.coefficient(0), d_value)
     problem = reduction.problem
     halves = enumerate_solutions(problem.dprime, problem.t_value // 4, u_bit_limit=u_bits)
     points = []
@@ -242,7 +237,7 @@ def _candidates(
         return
     for d_value in _discriminants(family, config.d_min, config.d_max):
         try:
-            points = quadratic_points(family.f, d_value, config.max_u_bits, d_squarefree=True)
+            points = quadratic_points(family.f, d_value, config.max_u_bits)
         except (ValueError, CapacityError) as exc:
             _progress(f"D={d_value}, skipped: {exc}")
             continue

@@ -403,6 +403,20 @@ class TestAnalyzeCommand:
         assert "no witness found for D = 15 within the search caps" in out
         assert "verdict: UNKNOWN_NEEDS_SOLUTION" in out
 
+    def test_freeman_witness_at_d_with_large_square_part(self, capsys):
+        # D = f(x) at x = 34282878382330795715058, and 1000003**2 * 1000081**2
+        # divides it: a*D has square prime factors past trial division, and
+        # the reduction, which factors only a = 15, still finds the point
+        x = 34282878382330795715058
+        d_value = 15 * x * x + 10 * x + 3
+        assert d_value % (1000003 * 1000081) ** 2 == 0
+        code = main(["analyze", "--t", "10x^2+5x+3", "--n", "25x^4+25x^3+15x^2+5x+1",
+                     "--k", "10", "--d", str(d_value)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert f"witness for D = {d_value}: x = {x}, y = 1" in out
+        assert "verdict: FAMILY_BY_THM2" in out
+
     def test_bn(self, capsys):
         code = main(["analyze", "--t", "6x^2+1", "--n", "36x^4+36x^3+18x^2+6x+1",
                      "--k", "12"])
@@ -605,6 +619,8 @@ class TestExitCodeContract:
             (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "0"], None, EXIT_USAGE),
             (["verify", "--q", "5", "--n", "3", "--k", "2", "--d", "-11"], None, EXIT_USAGE),
             (["verify", "--in"], '{"k": "2", "q": "5", "n": "3", "d": "0"}', EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", "4", "--d", "0"], None, EXIT_USAGE),
+            (["analyze", "--t", "x", "--n", "x^2+1", "--k", "4", "--d", "-3"], None, EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "0"], None, EXIT_USAGE),
             (["pell", "--dprime", "5", "--t", "4", "--count", "-3"], None, EXIT_USAGE),
             (["pell", "--dprime", "645"], None, EXIT_USAGE),
@@ -630,6 +646,7 @@ class TestExitCodeContract:
             "record-k-list", "record-status-int", "record-k-float-overflow", "record-t-null",
             "record-k-zero", "inline-k-zero", "inline-k-negative",
             "inline-d-zero", "inline-d-negative", "record-d-zero",
+            "analyze-d-zero", "analyze-d-negative",
             "pell-count-zero", "pell-count-negative", "pell-t-missing", "search-out-missing-dir",
             "verify-out-missing-dir", "workers-zero", "workers-negative", "analyze-huge-k",
             "analyze-semiprime-k", "search-semiprime-d", "pell-semiprime-t",

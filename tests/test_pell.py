@@ -522,12 +522,13 @@ class TestBaseSolutionsOracle:
             assert len(reps) == len(expected), (dprime, t_value)
 
 
-def _no_factoring_of(forbidden):
-    def decompose(m, *args):
-        assert m != forbidden, f"a*D = {m} was factored"
-        return squarefree_decompose(m, *args)
-
-    return decompose
+def _factored_reduction(a, b, c, d_value):
+    """reduce_quadratic as it was when it factored a*D: D' the square-free
+    part of a*D and r its square root."""
+    dprime, r, complete = squarefree_decompose(a * d_value)
+    assert complete
+    problem = PellProblem(dprime, b * b - 4 * a * c, 2 * a, b, 2 * r, 0)
+    return pell.QuadraticReduction(problem, a, b, r)
 
 
 class TestReduction:
@@ -548,23 +549,42 @@ class TestReduction:
         red = reduce_quadratic(12, 0, -5, 6)
         assert red.problem.dprime == 2 and red.r == 6
 
-    def test_certified_d_gives_the_factored_reduction(self, monkeypatch):
-        """With D square-free, a = s r**2 and g = gcd(s, D) give D' and r
-        without factoring a*D; the reduction equals the factored one."""
-        rng = random.Random(32)
-        cases = [(12, 6), (15, 43), (15, 15), (12, 3 * 5 * 7), (75, 10), (98, 14)]
+    def test_reduction_factors_only_a(self, monkeypatch):
+        """a = s r**2 and g = gcd(s, D) give D' and r for any D, factoring
+        only a: a*D = D' r**2 with D' a non-square, and for square-free D
+        the reduction equals the one that factors a*D."""
+        rng = random.Random(34)
+        cases = [(12, 6), (15, 43), (15, 15), (12, 3 * 5 * 7), (75, 10), (98, 14),
+                 (15, 172), (12, 8), (15, 60), (75, 12), (98, 28), (2, 2 * 1000003**2)]
         while len(cases) < 400:
             d_value = rng.randrange(1, 10**7)
-            if squarefree_decompose(d_value)[1] == 1:
-                a = rng.choice([1, 2, 12, 15, 18, 50, 72, 98, rng.randrange(1, 500)])
-                cases.append((a, d_value))
+            if len(cases) % 2:
+                d_value *= rng.choice([2, 3, 6, 7, 10, 1000003]) ** 2
+            a = rng.choice([1, 2, 12, 15, 18, 50, 72, 98, rng.randrange(1, 500)])
+            cases.append((a, d_value))
+        factored = []
+
+        def decompose(m, *args):
+            factored.append(m)
+            return squarefree_decompose(m, *args)
+
+        monkeypatch.setattr(pell, "squarefree_decompose", decompose)
+        squarefree = 0
         for a, d_value in cases:
+            factored.clear()
             if math.isqrt(a * d_value) ** 2 == a * d_value:
+                with pytest.raises(ValueError):
+                    reduce_quadratic(a, 2, -5, d_value)
                 continue
-            want = reduce_quadratic(a, 2, -5, d_value)
-            monkeypatch.setattr(pell, "squarefree_decompose", _no_factoring_of(a * d_value))
-            assert reduce_quadratic(a, 2, -5, d_value, d_squarefree=True) == want, (a, d_value)
-            monkeypatch.undo()
+            red = reduce_quadratic(a, 2, -5, d_value)
+            assert factored == [a], (a, d_value)
+            dprime = red.problem.dprime
+            assert a * d_value == dprime * red.r**2 and math.isqrt(dprime) ** 2 != dprime
+            _, square, complete = squarefree_decompose(d_value)
+            if complete and square == 1:
+                assert red == _factored_reduction(a, 2, -5, d_value), (a, d_value)
+                squarefree += 1
+        assert 100 < squarefree < 300
 
     def test_to_xy_roundtrip(self):
         red = reduce_quadratic(15, 10, 3, 43)

@@ -625,13 +625,15 @@ class TestSearchMNT:
 
     @pytest.mark.parametrize(
         "name, d_values",
-        [("mnt6+", (11, 19, 23, 29)), ("mnt3-", (11, 19, 23, 29)), ("mnt4a", (11, 19, 35)),
-         ("freeman10", (43, 67, 163))],
+        [("mnt6+", (11, 19, 23, 29, 99, 171)), ("mnt3-", (11, 19, 23, 29, 1075)),
+         ("mnt4a", (11, 19, 35, 8, 18, 68)), ("freeman10", (43, 67, 163, 28, 63, 172))],
     )
     def test_quadratic_points_cover_exhaustive_scan(self, name, d_values):
         """quadratic_points solves the halved norm equation; every point
         of D y^2 = f(x) with |x| <= 10^4 from a direct scan must be among
-        its points, and every point it returns must lie on the curve."""
+        its points, and every point it returns must lie on the curve.  The
+        D past the first few are not square-free (172 = 4 * 43), and each
+        has scan points."""
         f = family_by_name(name).f
         for d_value in d_values:
             scan = set()
