@@ -6,8 +6,8 @@ and, for T**2 < D', every solution directly (Lagrange); both solution walks
 run on plain ints and build a `QuadraticInteger` only for each solution
 returned.  On top sit the unit congruent to 1 modulo 2a that preserves
 solution congruences and the reduction of D*y**2 = f(x) (f quadratic) to
-a constrained norm equation, for any D > 0: it factors only the leading
-coefficient a, and its radicand D' need not be square-free.
+a constrained norm equation, for any D > 0 once the leading coefficient a
+factors: it factors only a, and its radicand D' need not be square-free.
 """
 
 from __future__ import annotations
@@ -344,9 +344,10 @@ def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction
 
     Requires a > 0, b**2 - 4ac nonzero, and a*D not a perfect square.
     Only a is factored, a = s * r**2: with g = gcd(s, D) the radicand is
-    (s/g)(D/g) and the square root r*g, so a*D = dprime * r**2 for any D.
-    The norm-equation layer needs dprime only to be a non-square, which a*D
-    not a square makes it; it is square-free when D is and a factors fully.
+    (s/g)(D/g) and the square root r*g, so once a factors, a*D = dprime *
+    r**2 for any D.  The norm-equation layer needs dprime only to be a
+    non-square, which a*D not a square makes it; it is square-free when D
+    is.  Raises ValueError when a does not factor.
     """
     if a <= 0:
         raise ValueError(f"leading coefficient must be positive, got {a}")
@@ -358,7 +359,9 @@ def reduce_quadratic(a: int, b: int, c: int, d_value: int) -> QuadraticReduction
     ad = a * d_value
     if is_perfect_square(ad):
         raise ValueError(f"a*D = {ad} is a perfect square; no real quadratic order")
-    s, r, _ = squarefree_decompose(a)
+    s, r, complete = squarefree_decompose(a)
+    if not complete:
+        raise ValueError(f"could not factor the leading coefficient a = {a}")
     g = math.gcd(s, d_value)
     dprime, r = (s // g) * (d_value // g), r * g
     problem = PellProblem(

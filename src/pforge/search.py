@@ -170,10 +170,11 @@ def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, i
     """Integer points (x, y), y >= 0, on D y**2 = f(x) for quadratic f.
 
     reduce_quadratic gives u**2 - D' v**2 = T with u = 2ax + b, v = 2ry,
-    for any D > 0.  The middle coefficient b of f = 4q - t**2 is even, so
+    for any D > 0 once a factors.  The middle coefficient b of f = 4q - t**2 is even, so
     every admissible (u, v) is even: the points come from
     (u/2)**2 - D' (v/2)**2 = T/4, in order of |u/2| < 2**u_bits, the only
-    bound.  Raises ValueError when D gives no real quadratic order.
+    bound.  Raises ValueError when D gives no real quadratic order or a
+    does not factor.
     CapacityError can come only from the class walk (T**2/16 >= D'),
     through fundamental_unit, when the continued fraction of sqrt(D')
     passes its period cap; the convergent walk has no cap."""

@@ -417,6 +417,20 @@ class TestAnalyzeCommand:
         assert f"witness for D = {d_value}: x = {x}, y = 1" in out
         assert "verdict: FAMILY_BY_THM2" in out
 
+    def test_no_witness_when_a_does_not_factor(self, capsys):
+        # f = a x^2 + 4x + 4 with a = 1000003 * 1000033 past trial division,
+        # and D = a f(5): the norm equation of a*f(x) = D y^2 has the pair
+        # u = 10a + 4, v = 2, but f(5) != D, so no point may be reported
+        a = 1000003 * 1000033
+        d_value = a * (25 * a + 24)
+        code = main(["analyze", "--t", "x", "--n", f"{(a + 1) // 4}x^2+2",
+                     "--k", "10", "--d", str(d_value)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert f"f(x) = 4q - t^2 = {a}x^2+4x+4" in out
+        assert f"no witness found for D = {d_value} within the search caps" in out
+        assert "FAMILY_BY_THM2" not in out
+
     def test_bn(self, capsys):
         code = main(["analyze", "--t", "6x^2+1", "--n", "36x^4+36x^3+18x^2+6x+1",
                      "--k", "12"])

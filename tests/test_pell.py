@@ -585,6 +585,12 @@ class TestReduction:
                 assert red == _factored_reduction(a, 2, -5, d_value), (a, d_value)
                 squarefree += 1
         assert 100 < squarefree < 300
+        # an a past trial division would leave s and r without its cofactor,
+        # so that a*D = D' r**2 fails; it is refused for any D
+        a = 1000003 * 1000033
+        for d_value in (10, 43 * 4, a * (25 * a + 24)):
+            with pytest.raises(ValueError, match="could not factor"):
+                reduce_quadratic(a, 4, 4, d_value)
 
     def test_to_xy_roundtrip(self):
         red = reduce_quadratic(15, 10, 3, 43)
