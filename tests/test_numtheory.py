@@ -69,11 +69,12 @@ class TestPrimality:
 
 
 # Strong pseudoprimes to base 2, Carmichael numbers, and a Chernick
-# Carmichael number 8647 * 17293 * 25939 whose first seeded Miller-Rabin
-# base is a strong liar, so only the third primality stage shows it composite.
+# Carmichael number 13537 * 27073 * 40609, with no factor below the trial
+# division table, that is a strong pseudoprime to base 2, so only the third
+# primality stage shows it composite.
 STRONG_PSEUDOPRIMES_BASE_2 = (2047, 3277, 4033, 3215031751)
 CARMICHAEL = (561, 41041, 825265, 321197185)
-PASSES_FIRST_ROUND = 8647 * 17293 * 25939
+PASSES_FIRST_ROUND = 13537 * 27073 * 40609
 
 
 def _strong_probable_prime_to_base(m, base):
@@ -88,6 +89,15 @@ def _strong_probable_prime_to_base(m, base):
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
+
+
+@pytest.fixture
+def memo():
+    saved = dict(numtheory._proven_primes)
+    numtheory._proven_primes.clear()
+    yield numtheory._proven_primes
+    numtheory._proven_primes.clear()
+    numtheory._proven_primes.update(saved)
 
 
 class TestStagedPrimality:
@@ -111,7 +121,11 @@ class TestStagedPrimality:
             assert all(pow(a, m - 1, m) == 1 for a in (2, 3, 5, 7, 11, 13) if math.gcd(a, m) == 1)
 
     @pytest.mark.parametrize(
-        "m", [*STRONG_PSEUDOPRIMES_BASE_2, *CARMICHAEL, PASSES_FIRST_ROUND, *range(990, 1011)]
+        "m",
+        [
+            *STRONG_PSEUDOPRIMES_BASE_2, *CARMICHAEL, PASSES_FIRST_ROUND,
+            *range(990, 1011), *range(4080, 4112),
+        ],
     )
     def test_agrees_with_sympy_on_pseudoprimes_and_the_table_edge(self, sympy, m):
         assert is_probable_prime(m) == sympy.isprime(m)
@@ -141,37 +155,79 @@ class TestStagedPrimality:
 
     def test_first_composite_runs_the_stages_in_lockstep(self):
         """The value that fails the earliest stage is named, whatever its
-        position: trial division before the first Miller-Rabin round, and
-        that round before the other 39 and the Lucas test."""
-        small_factor, semiprime = 1000 * 1009, 8647 * 8663
+        position: trial division before the Miller-Rabin round to base 2,
+        and that round before the other 39 and the Lucas test."""
+        small_factor, semiprime = 1000 * 4099, 8647 * 8663
         assert first_composite(PASSES_FIRST_ROUND, small_factor) == 1
         assert first_composite(PASSES_FIRST_ROUND, semiprime) == 1
         assert first_composite(semiprime, small_factor) == 1
         assert first_composite(small_factor, semiprime) == 0
         assert first_composite(semiprime, PASSES_FIRST_ROUND) == 0
         assert first_composite(2**127 - 1, PASSES_FIRST_ROUND) == 1
-        assert first_composite(2**127 - 1, 1009, 2, small_factor) == 3
-        assert first_composite(2**127 - 1, 1009) is None
+        assert first_composite(2**127 - 1, 4099, 2, small_factor) == 3
+        assert first_composite(2**127 - 1, 4099) is None
         assert first_composite() is None
+
+
+class TestStageOrder:
+    """Trial division below TRIAL_DIVISION_LIMIT, then the Miller-Rabin
+    round to base 2, then the seeded rounds and the Lucas test."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of every call the stages make to the generator,
+        the Miller-Rabin round, the Lucas test and pow."""
+        calls = {}
+        for owner, name in (
+            (numtheory.random, "Random"),
+            (numtheory, "_miller_rabin_witness"),
+            (numtheory, "_strong_lucas_probable_prime"),
+            (numtheory, "pow"),
+        ):
+            def counting(*args, log=calls.setdefault(name, []), call=getattr(owner, name, pow)):
+                log.append(args)
+                return call(*args)
+
+            monkeypatch.setattr(owner, name, counting, raising=False)
+        return calls
+
+    def test_a_composite_failing_base_2_builds_no_generator(self, memo, calls):
+        m = 8647 * 8663
+        assert first_composite(m) == 0
+        assert calls["_miller_rabin_witness"] == [(m, 2)] and not calls["Random"]
+        assert first_composite(PASSES_FIRST_ROUND) == 0
+        assert calls["_miller_rabin_witness"][1] == (PASSES_FIRST_ROUND, 2)
+        assert len(calls["Random"]) == 1 and not calls["_strong_lucas_probable_prime"]
+
+    def test_a_prime_gets_40_rounds_base_2_first_then_the_lucas_test(self, memo, calls):
+        primes = (4099, 2**127 - 1, EXAMPLE_149.q)
+        for p in primes:
+            assert is_probable_prime(p)
+        rounds = calls["_miller_rabin_witness"]
+        assert numtheory.MILLER_RABIN_ROUNDS == 40 and len(rounds) == 3 * 40
+        for i, p in enumerate(primes):
+            assert rounds[40 * i] == (p, 2)
+            assert all(m == p and 1 < a < p - 1 for m, a in rounds[40 * i : 40 * (i + 1)])
+        assert calls["_strong_lucas_probable_prime"] == [(p,) for p in primes]
+        assert len(calls["Random"]) == 3 and len(calls["pow"]) >= 3 * 40
+
+    def test_trial_division_catches_products_of_primes_below_the_limit(self, memo, calls):
+        primes = [p for p in range(1000, 4096) if PRIME_FLAGS[p]]
+        for i, p in enumerate(primes):
+            for r in primes[i:]:
+                assert first_composite(p * r) == 0, (p, r)
+        assert not any(calls.values()) and not memo
 
 
 class TestProvenPrimeMemo:
     """first_composite remembers the values it proved prime, and only those."""
 
-    @pytest.fixture
-    def memo(self):
-        saved = dict(numtheory._proven_primes)
-        numtheory._proven_primes.clear()
-        yield numtheory._proven_primes
-        numtheory._proven_primes.clear()
-        numtheory._proven_primes.update(saved)
-
     @pytest.fixture(scope="class")
     def pool(self, sympy):
         rng = random.Random(17)
-        primes = [1009, 2**127 - 1, *(sympy.nextprime(rng.getrandbits(b)) for b in (64, 160, 254))]
+        primes = [4099, 2**127 - 1, *(sympy.nextprime(rng.getrandbits(b)) for b in (64, 160, 254))]
         composites = [
-            0, 1, 1000 * 1009, 1009**2, 8647 * 8663, PASSES_FIRST_ROUND,
+            0, 1, 1000 * 4099, 4099**2, 8647 * 8663, PASSES_FIRST_ROUND,
             *STRONG_PSEUDOPRIMES_BASE_2, *CARMICHAEL, 2**127 + 1, primes[-1] * primes[-2],
         ]
         return primes + composites
@@ -192,14 +248,14 @@ class TestProvenPrimeMemo:
                 assert not sympy.isprime(values[cold]), (values, cold)
 
     def test_only_primes_enter(self, sympy, memo, pool):
-        # PASSES_FIRST_ROUND passes trial division and the first
-        # Miller-Rabin round, so only the full test keeps it out.
+        # PASSES_FIRST_ROUND passes trial division and the Miller-Rabin
+        # round to base 2, so only the full test keeps it out.
         assert first_composite(PASSES_FIRST_ROUND) == 0
         assert first_composite(2**127 - 1, PASSES_FIRST_ROUND) == 1
         assert PASSES_FIRST_ROUND not in memo and 2**127 - 1 in memo
         for m in pool:
             is_probable_prime(m)
-        for m in range(-3, 2000):
+        for m in range(-3, 8192):
             is_probable_prime(m)
         assert memo and all(sympy.isprime(m) for m in memo)
         assert all(m in memo for m in pool if sympy.isprime(m))
@@ -208,7 +264,7 @@ class TestProvenPrimeMemo:
         # No known composite passes 40 Miller-Rabin rounds and fails the
         # Lucas test, so a failing Lucas test is forced on a prime.
         monkeypatch.setattr(numtheory, "_strong_lucas_probable_prime", lambda m: False)
-        assert first_composite(1009, 2**127 - 1) == 0
+        assert first_composite(4099, 2**127 - 1) == 0
         assert not memo
 
     def test_a_proven_prime_is_not_tested_again(self, memo, monkeypatch):
@@ -224,7 +280,7 @@ class TestProvenPrimeMemo:
 
     def test_memo_keeps_the_latest_values_within_its_bound(self, memo):
         size = numtheory.PROVEN_PRIMES_MAXSIZE
-        primes = [p for p in range(1000, 20000) if PRIME_FLAGS[p]][: size + 50]
+        primes = [p for p in range(4096, 20000) if PRIME_FLAGS[p]][: size + 50]
         for p in primes:
             assert first_composite(p, p) is None
             assert len(memo) <= size
