@@ -168,16 +168,6 @@ def fundamental_unit(dprime: int) -> FundamentalUnit:
     return FundamentalUnit(unit, unit * unit)
 
 
-def same_class(z1: QuadraticInteger, z2: QuadraticInteger, t_value: int) -> bool:
-    """Whether two norm-T solutions differ by a norm-one unit (sign folded):
-    z2 * conj(z1) must be divisible by T componentwise."""
-    if z1.dprime != z2.dprime:
-        raise ValueError("mixed radicands")
-    t = abs(t_value)
-    prod = z2 * z1.conjugate()
-    return prod.a % t == 0 and prod.b % t == 0
-
-
 def _class_key(z: QuadraticInteger) -> tuple[int, int]:
     return abs(z.b), abs(z.a)
 

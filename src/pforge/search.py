@@ -5,12 +5,12 @@ A family with a fixed D (f = 4q - t**2 a square times a linear factor) is
 searched by scanning x, sieved by the primes below SIEVE_LIMIT; any other
 family with quadratic f goes through the norm equation of D y**2 = f(x), for
 every square-free D in its admissible residue classes that no sieve prime
-rules out.  Those D come from a sieve too, which for the primes p up to
-isqrt(d_max) (at most DEFAULT_FACTOR_BOUND) strikes the multiples of p**2,
-so no D is factored below about 10**12, and the multiples of each p at
-which the curve's T = b**2 - 4ac is a non-residue, where D y**2 = f(x) has
-no point.  Both feed the same stage: the q-bits range, instantiate, the
-record cap."""
+rules out.  Those D come from the same sieve, which strikes the D outside
+the classes, the multiples of p**2 for the primes p up to isqrt(d_max) (at
+most DEFAULT_FACTOR_BOUND), so no D is factored below about 10**12, and
+the multiples of each p at which the curve's T = b**2 - 4ac is a
+non-residue, where D y**2 = f(x) has no point.  Both feed the same stage:
+the q-bits range, instantiate, the record cap."""
 
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ class SearchConfig(_SearchFields):
         return self.q_bits_min <= q.bit_length() <= self.q_bits_max
 
 
-# x sieved at a time: a search over a huge x range holds one block in memory
+# D or x sieved at a time: a search over a huge range holds one block in memory
 SIEVE_BLOCK = 1 << 16
 
 
@@ -105,22 +105,34 @@ def _split_search(config: SearchConfig, parts: int) -> list[SearchConfig]:
     return [config._replace(x_min=lo, x_max=hi) for lo, hi in chunks]
 
 
+def _sieve(lo: int, hi: int, strikes: list[tuple[int, int]]) -> Iterator[int]:
+    """The n in [lo, hi), ascending, in none of the progressions
+    n = residue (mod step) of `strikes`, sieved SIEVE_BLOCK n at a time."""
+    for start in range(lo, hi, SIEVE_BLOCK):
+        stop = min(start + SIEVE_BLOCK, hi)
+        keep = bytearray(b"\x01") * (stop - start)
+        for step, residue in strikes:
+            first = (residue - start) % step
+            keep[first::step] = bytes(len(range(first, stop - start, step)))
+        yield from compress(range(start, stop), keep)
+
+
 def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator[int]:
     """Ascending square-free D in [d_min, d_max] in the family's admissible
     residue classes (d_classes) that are not locally insoluble at a sieve
-    prime, read off lazily, SIEVE_BLOCK D at a time.  Square-free only so
-    that each curve comes once: a point on D m**2 y**2 = f(x) is one on
-    D y**2 = f(x) at the same x.
+    prime, read off lazily through _sieve.  Square-free only so that each
+    curve comes once: a point on D m**2 y**2 = f(x) is one on D y**2 = f(x)
+    at the same x.
 
-    Each block marks the D in the classes and, for every prime p up to the
-    sieve height min(isqrt(d_max), DEFAULT_FACTOR_BOUND), strikes the
-    multiples of p**2, which decides square-freeness exactly below
-    (height + 1)**2.  A D from there up (only past about 10**12) is factored
-    by squarefree_decompose instead, and skipped with a stderr line when
-    that cannot settle it.
+    The sieve strikes the residues mod the modulus outside the classes and,
+    below (height + 1)**2 with height = min(isqrt(d_max),
+    DEFAULT_FACTOR_BOUND), the multiples of p**2 for every prime p up to
+    the height, which decides square-freeness exactly there.  A D from
+    there up (only past about 10**12) is factored by squarefree_decompose
+    instead, and skipped with a stderr line when that cannot settle it.
 
     With f = a x**2 + b x + c (quadratic in every family without a fixed
-    D) and T = b**2 - 4ac, the block also loses, wherever D lies, the
+    D) and T = b**2 - 4ac, the sieve also strikes, wherever D lies, the
     multiples of every such p with p not dividing 2aT and T a non-residue
     mod p: 4aD y**2 = (2ax + b)**2 - T, so a point would make T a square
     mod p.  A D struck so is never factored
@@ -134,35 +146,20 @@ def _discriminants(family: FamilyDescriptor, d_min: int, d_max: int) -> Iterator
     # the size factorize rounds to, so the two share _primes_below's cache
     limit = min(1 << height.bit_length(), DEFAULT_FACTOR_BOUND + 1)
     primes = [p for p in _primes_below(limit) if p <= height]
-    prime_squares = [p * p for p in primes]
     a, b, c = (family.f.coefficient(i) for i in (2, 1, 0))
     t_value = b * b - 4 * a * c
-    # Euler's criterion: T is a non-residue mod p
-    insoluble = [
-        p for p in primes if (2 * a * t_value) % p and pow(t_value, (p - 1) // 2, p) == p - 1
+    strikes = [(modulus, r) for r in range(modulus) if r not in residues] + [
+        # Euler's criterion: T is a non-residue mod p
+        (p, 0) for p in primes
+        if (2 * a * t_value) % p and pow(t_value, (p - 1) // 2, p) == p - 1
     ]
-    for start in range(max(d_min, 1), d_max + 1, SIEVE_BLOCK):
-        stop = min(start + SIEVE_BLOCK, d_max + 1)
-        keep = bytearray(stop - start)
-        for residue in residues:
-            first = (residue - start) % modulus
-            keep[first::modulus] = b"\x01" * len(range(first, stop - start, modulus))
-        for p in insoluble:
-            first = -start % p
-            keep[first::p] = bytes(len(range(first, stop - start, p)))
-        end = min(stop, certified) - start
-        if end > 0:
-            for p_squared in prime_squares:
-                first = -start % p_squared
-                keep[first:end:p_squared] = bytes(len(range(first, end, p_squared)))
-        for d_value in compress(range(start, stop), keep):
-            if d_value >= certified:
-                _, square, complete = squarefree_decompose(d_value)
-                if not complete:
-                    _progress(f"D={d_value}, skipped: square-freeness could not be verified")
-                    continue
-                if square != 1:
-                    continue
+    lo = max(d_min, 1)
+    yield from _sieve(lo, min(certified, d_max + 1), strikes + [(p * p, 0) for p in primes])
+    for d_value in _sieve(max(lo, certified), d_max + 1, strikes):
+        _, square, complete = squarefree_decompose(d_value)
+        if not complete:
+            _progress(f"D={d_value}, skipped: square-freeness could not be verified")
+        elif square == 1:
             yield d_value
 
 
@@ -192,31 +189,21 @@ def quadratic_points(f: IntPoly, d_value: int, u_bits: int) -> list[tuple[int, i
     return points
 
 
-def _sieve_block(family: FamilyDescriptor, lo: int, hi: int) -> bytearray:
-    """keep[i] for x = lo + i in [lo, hi): 0 when |x| is past the sieve
-    table's bound and a prime below SIEVE_LIMIT divides q(x) n(x), else 1."""
-    bound, table = sieve_table(family)
-    keep = bytearray(b"\x01") * (hi - lo)
-    for p, residues in table:
-        for r in residues:
-            first = (r - lo) % p
-            keep[first::p] = bytes(len(range(first, hi - lo, p)))
-    small = range(max(lo, -bound), min(hi, bound + 1))
-    if small:
-        keep[small.start - lo : small.stop - lo] = b"\x01" * len(small)
-    return keep
-
-
 def _sieved(family: FamilyDescriptor, runs: list[range]) -> Iterator[int]:
-    """The x of the runs, ascending, that _sieve_block keeps, sieved
-    SIEVE_BLOCK x at a time.  When the walk ends, at its end or at the record
-    cap, stderr gets the number of x walked and of those the sieve dropped."""
+    """The x of the runs, ascending, through _sieve: each run is cut at
+    +-bound of sieve_table, and the x past the bound lose the residues mod
+    each prime below SIEVE_LIMIT at which it divides q(x) n(x); the x within
+    it are all kept.  When the walk ends, at its end or at the record cap,
+    stderr gets the number of x walked and of those the sieve dropped."""
+    bound, table = sieve_table(family)
+    strikes = [(p, r) for p, residues in table for r in residues]
     walked = reached = kept = 0
     try:
         for run in runs:
-            for lo in range(run.start, run.stop, SIEVE_BLOCK):
-                hi = min(lo + SIEVE_BLOCK, run.stop)
-                for x in compress(range(lo, hi), _sieve_block(family, lo, hi)):
+            cuts = [min(max(cut, run.start), run.stop) for cut in (-bound, bound + 1)]
+            pieces = zip([run.start, *cuts], [*cuts, run.stop], (strikes, [], strikes))
+            for lo, hi, piece_strikes in pieces:
+                for x in _sieve(lo, hi, piece_strikes):
                     kept, reached = kept + 1, walked + x + 1 - lo
                     yield x
                 walked = reached = walked + hi - lo

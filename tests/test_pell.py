@@ -22,11 +22,20 @@ from pforge.pell import (
     enumerate_solutions,
     fundamental_unit,
     reduce_quadratic,
-    same_class,
     solutions,
 )
 
 from conftest import EXAMPLE_149
+
+
+def same_class(z1: QuadraticInteger, z2: QuadraticInteger, t_value: int) -> bool:
+    """Whether two norm-T solutions differ by a norm-one unit (sign folded):
+    z2 * conj(z1) must be divisible by T componentwise."""
+    if z1.dprime != z2.dprime:
+        raise ValueError("mixed radicands")
+    t = abs(t_value)
+    prod = z2 * z1.conjugate()
+    return prod.a % t == 0 and prod.b % t == 0
 
 
 def brute_solutions(dprime, t_value, v_max):

@@ -20,7 +20,8 @@ from pforge.pell import enumerate_solutions, reduce_quadratic
 from pforge.search import (
     SearchConfig,
     _discriminants,
-    _sieve_block,
+    _sieve,
+    _sieved,
     _signed_range,
     quadratic_points,
     recover_x_from_q,
@@ -403,6 +404,41 @@ class TestDiscriminantSieve:
         )
 
 
+class TestCompletenessOracle:
+    """Every (D, x) with q(x), n(x) prime, embedding degree exactly k and D
+    the square-free part of f(x) at most D_MAX, found by sympy over
+    |x| <= X, against run_search over D 1..D_MAX: the convergent walk
+    (freeman10) and the class walk (mnt3+, mnt6+) each miss no record and
+    add none."""
+
+    X, D_MAX = 10**5, 10**6
+
+    @pytest.mark.parametrize("name", ["freeman10", "mnt3+", "mnt6+"])
+    def test_records_equal_the_oracle(self, name):
+        sympy = pytest.importorskip("sympy")
+        family = family_by_name(name)
+        k = family.k
+        want = set()
+        for x in range(-self.X, self.X + 1):
+            q, n = family.q.evaluate(x), family.n.evaluate(x)
+            if not (sympy.isprime(q) and sympy.isprime(n)):
+                continue
+            # exactly k: without it mnt6+ would take x = 1 (q = 5, n = 3, k = 2)
+            if pow(q, k, n) != 1 or any(pow(q, j, n) == 1 for j in range(1, k)):
+                continue
+            f_value = family.f.evaluate(x)
+            if f_value <= 0:
+                continue
+            d_value = math.prod(p for p, e in sympy.factorint(f_value).items() if e % 2)
+            if d_value <= self.D_MAX:
+                want.add((d_value, x))
+        a, b = family.f.coefficient(2), family.f.coefficient(1)
+        u_bits = max(16, (abs(2 * a) * self.X + abs(b)).bit_length())
+        config = SearchConfig(family=name, d_min=1, d_max=self.D_MAX, max_u_bits=u_bits)
+        got = {(r.d, r.x0) for r in run_search(config) if abs(r.x0) <= self.X}
+        assert want and got == want
+
+
 class TestSearchBN12:
     def test_range_zero_two(self):
         config = SearchConfig(family="bn12", x_min=0, x_max=2)
@@ -488,8 +524,9 @@ class TestSieve:
         keeps past the bound has no such prime factor."""
         bound, _ = sieve_table(family)
         for lo in (-2000, 2**64 - 1000):
-            keep = _sieve_block(family, lo, lo + 2000)
-            for x, kept in zip(range(lo, lo + 2000), keep):
+            keep = set(_sieved(family, [range(lo, lo + 2000)]))
+            for x in range(lo, lo + 2000):
+                kept = x in keep
                 values = (family.q.evaluate(x), family.n.evaluate(x))
                 struck = [v for v in values for p in _SIEVE_PRIMES if v % p == 0]
                 if kept:
@@ -511,7 +548,25 @@ class TestSieve:
         residues = dict(table)
         # the residues of x = -1 and x = 1: only the bound keeps them
         assert 12 in residues[13] and 18 in residues[19] and 1 in residues[97]
-        assert list(_sieve_block(family_by_name("bn12"), -3, 4)) == [1] * 7
+        assert list(_sieved(family_by_name("bn12"), [range(-3, 4)])) == list(range(-3, 4))
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_sieve_equals_a_brute_force_filter(self, block, monkeypatch):
+        """_sieve on random windows, negative ones included, with steps up
+        to well past the block, against the n in none of the progressions."""
+        monkeypatch.setattr(search, "SIEVE_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(40):
+            lo = rng.randrange(-(2**70), 2**70) if rng.random() < 0.3 else rng.randrange(-500, 500)
+            hi = lo + rng.randrange(1, 400)
+            strikes = []
+            for _ in range(rng.randrange(6)):
+                wide = rng.randrange(50, 3 * block + 100)
+                step = rng.choice([2, 3, rng.randrange(1, 50), wide])
+                strikes.append((step, rng.randrange(-step, 2 * step)))
+            want = [n for n in range(lo, hi) if all((n - r) % step for step, r in strikes)]
+            assert list(_sieve(lo, hi, strikes)) == want, (lo, hi, strikes)
+        assert list(_sieve(5, 5, [(2, 0)])) == list(_sieve(5, 3, [])) == []
 
     def test_capped_search_over_a_huge_range_stops_at_its_first_record(self, capsys):
         start = time.perf_counter()
